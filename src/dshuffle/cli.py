@@ -44,7 +44,17 @@ def _jobs_from_env():
 
 def _load_series(path):
     with open(path) as handle:
-        return DepthSeries.from_json_dict(json.load(handle))
+        data = json.load(handle)
+    try:
+        return DepthSeries.from_json_dict(data)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError("%s is not a DepthSeries JSON file (%s: %s)"
+                         % (path, type(exc).__name__, exc))
+
+
+def _require_at_least(option, value, low):
+    if value < low:
+        raise ValueError("%s must be at least %d, got %d" % (option, low, value))
 
 
 GENERATOR_HELP = ("generator name: psi-1, psi0, psi3, psi5, .., chi-1, "
@@ -52,6 +62,8 @@ GENERATOR_HELP = ("generator name: psi-1, psi0, psi3, psi5, .., chi-1, "
 
 
 def cmd_gen(args):
+    if args.kind in ("psi", "chi"):
+        _require_at_least("--depth", args.depth, 1)
     if args.kind == "psi":
         series = gens.generator("psi%d" % args.weight, args.depth)
     elif args.kind == "chi":
@@ -100,6 +112,8 @@ def _verify_one(series, p, q):
 
 
 def cmd_verify(args):
+    # the first double shuffle equations sit in depth 2
+    _require_at_least("--max-depth", args.max_depth, 2)
     series = gens.generator(args.gen, args.max_depth)
     reports = _verify_reports(series, args.max_depth, _jobs_from_env())
     reports.sort(key=lambda r: (r.indices, r.family))

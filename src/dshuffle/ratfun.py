@@ -18,6 +18,21 @@ Representation:
 
 Monomial order used for printing and serialization is graded lex:
 sort key (total degree, exponent tuple).
+
+Kernels:
+  * Affine substitution has one path with two kernels, chosen from the
+    images.  When every image is a single variable x_j with coefficient 1,
+    or zero, the monomials are relabelled: exponents move to their new
+    slots, terms that land on one monomial are merged and a monomial that
+    uses a zero image is dropped.  Any other images run a Horner scheme
+    over the source variables whose every step is Polynomial.mul_form.
+  * Divisibility by a form is pretested by evaluating the numerator modulo
+    the prime p = 2^61 - 1 at a fixed point of the form's hyperplane.  If
+    the form divides the numerator, the value is zero mod p, so a nonzero
+    residue proves non-divisibility; zero, or a denominator or pivot that
+    p divides, falls through to the exact division.  The pretest only
+    decides whether an exact division is attempted, never its outcome, so
+    it cannot change a result.
 """
 
 from __future__ import annotations
@@ -33,8 +48,10 @@ class ArityMismatch(ValueError):
     pass
 
 
-# evaluation points for the fast divisibility pre-test
-_EVAL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+# modulus of the divisibility pretest (a Mersenne prime), and the step of
+# its fixed evaluation point x_i = i * _STEP mod p, which is nonzero
+_P = (1 << 61) - 1
+_STEP = 0x9E3779B97F4A7C15
 
 
 class PoleOrderError(ValueError):
@@ -134,12 +151,7 @@ class Polynomial:
     def __add__(self, other):
         self._check(other)
         terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, ZERO) + c
-            if s == 0:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
+        _accumulate(terms, other.terms)
         return Polynomial(self.arity, terms)
 
     def __sub__(self, other):
@@ -179,39 +191,37 @@ class Polynomial:
         return Polynomial(self.arity, out)
 
     def mul_form(self, form):
-        """Multiply by the affine form c0 + sum ci*xi (fast path)."""
+        """Multiply by the affine form c0 + sum ci*xi (fast path).
+
+        Coefficients 1 and -1, the usual ones, add or subtract the term
+        without a scalar multiply.
+        """
+        steps = []
+        for i in range(self.arity + 1):
+            ci = form[i]
+            if ci:
+                steps.append((i - 1, 1 if ci == 1 else -1 if ci == -1 else 0,
+                              ci))
         out = {}
-        arity = self.arity
-        entries = [(i - 1, form[i]) for i in range(1, arity + 1) if form[i]]
-        c0 = form[0]
         get = out.get
         for m, c in self.terms.items():
-            if c0:
-                s = get(m, ZERO) + c0 * c
-                if s == 0:
-                    del out[m]
+            for pos, unit, ci in steps:
+                mm = m[:pos] + (m[pos] + 1,) + m[pos + 1:] if pos >= 0 else m
+                old = get(mm)
+                if old is None:
+                    out[mm] = c if unit > 0 else -c if unit else ci * c
+                    continue
+                if unit > 0:
+                    s = old + c
+                elif unit:
+                    s = old - c
                 else:
-                    out[m] = s
-            for pos, ci in entries:
-                mm = m[:pos] + (m[pos] + 1,) + m[pos + 1:]
-                s = get(mm, ZERO) + ci * c
-                if s == 0:
-                    del out[mm]
-                else:
+                    s = old + ci * c
+                if s:
                     out[mm] = s
-        return Polynomial(arity, out)
-
-    def pow(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        result = Polynomial.const(self.arity, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+                else:
+                    del out[mm]
+        return Polynomial(self.arity, out)
 
     def derivative(self, i):
         """Partial derivative with respect to x_i (1-based)."""
@@ -225,33 +235,48 @@ class Polynomial:
 
     # -- substitution and evaluation
 
-    def substitute(self, images, target_arity):
-        """Compose with x_i -> images[i-1], each a Polynomial of target arity.
-
-        Uses iterated Horner evaluation, one source variable at a time.
-        """
+    def substitute_affine(self, images, target_arity):
+        """Compose with x_i -> images[i-1], each a coefficient tuple
+        (c0, c1, .., cD) of an affine form in target_arity variables."""
         if len(images) != self.arity:
             raise ArityMismatch("need one image per variable")
-        return _subst_rec(self.terms, self.arity, images, target_arity)
-
-    def subs_var(self, a, b):
-        """Substitute x_a -> x_b (b = 0 means x_a -> 0).  Same arity."""
-        out = {}
-        for m, c in self.terms.items():
-            e = m[a - 1]
-            if e and b == 0:
-                continue
-            mm = list(m)
-            mm[a - 1] = 0
-            if b:
-                mm[b - 1] += e
-            mm = tuple(mm)
-            s = out.get(mm, ZERO) + c
-            if s == 0:
-                out.pop(mm, None)
+        if not self.terms:
+            return Polynomial(target_arity)
+        targets = []
+        for img in images:
+            support = [j for j, c in enumerate(img) if c]
+            if not support:
+                targets.append(0)
+            elif len(support) == 1 and support[0] and img[support[0]] == 1:
+                targets.append(support[0])
             else:
-                out[mm] = s
-        return Polynomial(self.arity, out)
+                return Polynomial(target_arity, _horner(
+                    self.terms, self.arity, images, target_arity))
+        return self._relabel(targets, target_arity)
+
+    def _relabel(self, targets, target_arity):
+        """x_i -> x_targets[i-1], where target 0 means x_i -> 0."""
+        out = {}
+        get = out.get
+        for m, c in self.terms.items():
+            mm = [0] * target_arity
+            for e, t in zip(m, targets):
+                if e:
+                    if not t:
+                        break
+                    mm[t - 1] += e
+            else:
+                mm = tuple(mm)
+                old = get(mm)
+                if old is None:
+                    out[mm] = c
+                else:
+                    s = old + c
+                    if s:
+                        out[mm] = s
+                    else:
+                        del out[mm]
+        return Polynomial(target_arity, out)
 
     def evaluate(self, point):
         """Evaluate at a tuple of rationals."""
@@ -266,50 +291,13 @@ class Polynomial:
             total += v
         return total
 
-    def _vanishes_on(self, form):
-        """Cheap necessary test for divisibility: evaluate at a pseudo-random
-        point of the hyperplane form = 0.  A nonzero value certifies that
-        the form does not divide; zero is only a hint (and is then checked
-        by the exact division)."""
-        arity = self.arity
-        v = _form_pivot(form)
-        cv = int(form[v])
-        npts = len(_EVAL_PRIMES)
-        point = [_EVAL_PRIMES[i % npts] * (1 + i // npts)
-                 for i in range(arity)]
-        # solve form = 0 for x_v; canonical pivots are almost always 1, in
-        # which case the point stays integral
-        acc = int(form[0])
-        for i in range(1, arity + 1):
-            if i != v and form[i]:
-                acc += int(form[i]) * point[i - 1]
-        point[v - 1] = -acc // cv if acc % cv == 0 else -QQ(acc, cv)
-        # power tables keep the evaluation linear in the support size
-        max_deg = [0] * arity
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e > max_deg[i]:
-                    max_deg[i] = e
-        powers = []
-        for x, d in zip(point, max_deg):
-            row = [1]
-            for _ in range(d):
-                row.append(row[-1] * x)
-            powers.append(row)
-        total = QQ(0)
-        for m, c in self.terms.items():
-            v_ = 1
-            for i, e in enumerate(m):
-                if e:
-                    v_ = v_ * powers[i][e]
-            total += c * v_
-        return total == 0
-
-    def divide_form(self, form, skip_pretest=False):
+    def divide_form(self, form, tester=None):
         """Exact division by an affine form; returns the quotient or None.
 
         The form must be canonical (see form_normalize); in particular its
-        pivot coefficient is a positive integer.
+        pivot coefficient is a positive integer.  tester, a
+        _DivisibilityTester of this polynomial, lets callers share one
+        pretest across forms.
         """
         if not self.terms:
             return self
@@ -323,31 +311,30 @@ class Polynomial:
                 return None
             return Polynomial(arity, {m[:v - 1] + (m[v - 1] - 1,) + m[v:]: c
                                       for m, c in self.terms.items()})
-        if not skip_pretest and not self._vanishes_on(form):
+        if tester is None:
+            tester = _DivisibilityTester(self)
+        if not tester.may_divide(form):
             return None
-        # form = cv*x_v - h  with h affine in the remaining variables
+        # form = cv*x_v - h  with h affine in the remaining variables; the
+        # layer q_k of the quotient sends h*q_k down to the next layer
         h = tuple(-c for c in form[:v]) + (0,) * (arity + 1 - v)
         # group terms by the exponent of x_v
         layers = {}
         for m, c in self.terms.items():
             layers.setdefault(m[v - 1], {})[m[:v - 1] + (0,) + m[v:]] = c
-        if not layers:
-            return Polynomial(arity)
-        top = max(layers)
-        carry = Polynomial(arity)          # h * q_k contribution flowing down
+        inv = QQ(1, int(cv))
+        carry = {}
         quotient = {}
-        for k in range(top, -1, -1):
-            pk = Polynomial(arity, layers.get(k, {})) + carry
+        for k in range(max(layers), -1, -1):
+            pk = layers.get(k, {})
+            _accumulate(pk, carry)
             if k == 0:
-                return Polynomial(arity, quotient) if pk.is_zero() else None
-            if any(h):
-                carry = pk.mul_form(h)
-            else:
-                carry = Polynomial(arity)
-            inv = QQ(1, int(cv))
-            for m, c in pk.terms.items():
-                mm = m[:v - 1] + (m[v - 1] + k - 1,) + m[v:]
-                quotient[mm] = c * inv
+                return None if pk else Polynomial(arity, quotient)
+            if cv != 1:
+                pk = {m: c * inv for m, c in pk.items()}
+            carry = Polynomial(arity, pk).mul_form(h).terms if any(h) else {}
+            for m, c in pk.items():
+                quotient[m[:v - 1] + (m[v - 1] + k - 1,) + m[v:]] = c
         return None  # pragma: no cover
 
     def extended(self, target_arity, offset=0):
@@ -379,26 +366,40 @@ class Polynomial:
         return "Polynomial(%d, %s)" % (self.arity, self.text())
 
 
-def _subst_rec(terms, arity, images, target_arity):
-    """Horner substitution, recursing over source variables."""
-    if not terms:
-        return Polynomial(target_arity)
+def _accumulate(out, terms):
+    """out += terms in place, dropping monomials that cancel."""
+    get = out.get
+    for m, c in terms.items():
+        old = get(m)
+        if old is None:
+            out[m] = c
+        else:
+            s = old + c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+
+
+def _horner(terms, arity, images, target_arity):
+    """Affine substitution by Horner's scheme in the last source variable:
+    (..(p_top*img + p_(top-1))*img + ..)*img + p_0, recursing into the
+    layers p_k."""
     if arity == 0:
-        return Polynomial.const(target_arity, next(iter(terms.values())))
-    # split off the last variable
+        return {(0,) * target_arity: c for c in terms.values()}
     layers = {}
     for m, c in terms.items():
         layers.setdefault(m[-1], {})[m[:-1]] = c
     img = images[arity - 1]
     result = Polynomial(target_arity)
     for k in range(max(layers), -1, -1):
-        if k != max(layers):
-            result = result * img
-        if k in layers:
-            result = result + _subst_rec(layers[k], arity - 1, images,
-                                         target_arity)
-    # top-down Horner: result = (..(p_top*img + p_(top-1))*img + ..)*img + p_0
-    return result
+        if result.terms:
+            result = result.mul_form(img)
+        layer = layers.get(k)
+        if layer:
+            _accumulate(result.terms, _horner(layer, arity - 1, images,
+                                              target_arity))
+    return result.terms
 
 
 # ---------------------------------------------------------------------------
@@ -491,16 +492,6 @@ def form_text(form):
     return out[1:] if out.startswith("+") else out
 
 
-def form_to_poly(form, arity):
-    p = Polynomial(arity)
-    if form[0]:
-        p = p + Polynomial.const(arity, form[0])
-    for i in range(1, arity + 1):
-        if form[i]:
-            p = p + Polynomial.variable(arity, i, coeff=form[i])
-    return p
-
-
 def form_substitute(form, images, target_arity):
     """Substitute affine images (coefficient tuples) into a form.
 
@@ -580,9 +571,7 @@ class RationalFunction:
         tester = _DivisibilityTester(num)
         for f in sorted(counts):
             while counts.get(f, 0) > 0:
-                if not tester.may_divide(f):
-                    break
-                q = num.divide_form(f, skip_pretest=True)
+                q = num.divide_form(f, tester)
                 if q is None:
                     break
                 num = q
@@ -685,16 +674,18 @@ class RationalFunction:
             counts[f] = counts.get(f, 0) + k
         if f_num.is_zero() or g_num.is_zero():
             return RationalFunction.zero(self.arity)
+        f_test = _DivisibilityTester(f_num)
+        g_test = _DivisibilityTester(g_num)
         for f in sorted(counts):
             while counts[f] > 0:
-                q = f_num.divide_form(f)
+                q = f_num.divide_form(f, f_test)
                 if q is not None:
-                    f_num = q
+                    f_num, f_test = q, _DivisibilityTester(q)
                     counts[f] -= 1
                     continue
-                q = g_num.divide_form(f)
+                q = g_num.divide_form(f, g_test)
                 if q is not None:
-                    g_num = q
+                    g_num, g_test = q, _DivisibilityTester(q)
                     counts[f] -= 1
                     continue
                 break
@@ -754,12 +745,12 @@ class RationalFunction:
             raise PoleOrderError("pole of order %d along %s"
                                  % (k, form_text(form)))
         counts = {f: m for f, m in self.den.items() if f != form}
-        num = self.num.subs_var(a, b)
+        images = [var_vector(self.arity, i) for i in range(1, self.arity + 1)]
+        images[a - 1] = var_vector(self.arity, b)
+        num = self.num.substitute_affine(images, self.arity)
         new_counts = {}
         scalar = ONE
         for f, m in counts.items():
-            images = [var_vector(self.arity, i) for i in range(1, self.arity + 1)]
-            images[a - 1] = var_vector(self.arity, b)
             s, nf = form_substitute(f, images, self.arity)
             if nf is None:
                 raise PoleOrderError("denominator form %s vanishes on x%d=x%d"
@@ -836,8 +827,7 @@ class RationalFunction:
                     "denominator form %s becomes identically zero" % form_text(f))
             scalar *= s ** k
             counts[nf] = counts.get(nf, 0) + k
-        poly_images = [form_to_poly(v, target_arity) for v in images]
-        num = self.num.substitute(poly_images, target_arity)
+        num = self.num.substitute_affine(images, target_arity)
         if scalar != 1:
             num = num.scale(ONE / scalar)
         if not renormalize:
@@ -942,69 +932,92 @@ class RationalFunction:
 
 
 class _DivisibilityTester:
-    """Shared evaluation tables for divisibility pre-tests on one numerator.
+    """Modular divisibility pretest, shared by the forms tested on one
+    numerator.
 
-    For a pivot variable v, the numerator is collapsed to a one-variable
-    polynomial sum(S_e t^e) by evaluating all other variables at a fixed
-    integer point; testing a form with pivot v is then a single Horner
-    evaluation at the point of the hyperplane.  A nonzero value certifies
-    non-divisibility; zero falls through to the exact division.
+    The coefficients are reduced mod p and the variables set to a fixed
+    point mod p.  For a pivot variable v, the numerator then collapses to
+    a one-variable polynomial sum(S_e t^e) in t = x_v; testing a form with
+    pivot v is one Horner evaluation at the t of the form's hyperplane.  A
+    nonzero value certifies non-divisibility.  The reduction waits for the
+    first form tested.
     """
 
-    __slots__ = ("terms", "arity", "point", "layers")
+    __slots__ = ("poly", "point", "values", "layers")
 
     def __init__(self, poly):
-        self.terms = poly.terms
-        self.arity = poly.arity
-        npts = len(_EVAL_PRIMES)
-        self.point = [_EVAL_PRIMES[i % npts] * (1 + i // npts)
-                      for i in range(self.arity)]
+        self.poly = poly
+        self.point = [(i + 1) * _STEP % _P for i in range(poly.arity)]
+        self.values = None
         self.layers = {}
 
-    def _layer(self, v):
-        cached = self.layers.get(v)
-        if cached is not None:
-            return cached
-        arity = self.arity
-        max_deg = [0] * arity
-        for m in self.terms:
-            for i in range(arity):
-                if m[i] > max_deg[i]:
-                    max_deg[i] = m[i]
+    def _term_values(self):
+        """(monomial, its term's value mod p at the point) for each term;
+        False if p divides a denominator."""
+        inverses = {}
+        max_deg = [0] * self.poly.arity
+        values = []
+        for m, c in self.poly.terms.items():
+            num, den = as_int_pair(c)
+            inv = inverses.get(den)
+            if inv is None:
+                if den % _P == 0:
+                    return False
+                inv = inverses[den] = pow(den, -1, _P)
+            values.append((m, num * inv))
+            for i, e in enumerate(m):
+                if e > max_deg[i]:
+                    max_deg[i] = e
         powers = []
-        for i in range(arity):
-            if i == v - 1:
-                powers.append(None)
-                continue
+        for x, d in zip(self.point, max_deg):
             row = [1]
-            x = self.point[i]
-            for _ in range(max_deg[i]):
-                row.append(row[-1] * x)
+            for _ in range(d):
+                row.append(row[-1] * x % _P)
             powers.append(row)
-        layer = {}
-        for m, c in self.terms.items():
-            val = 1
-            for i in range(arity):
-                e = m[i]
-                if e and i != v - 1:
-                    val *= powers[i][e]
-            e = m[v - 1]
-            layer[e] = layer.get(e, ZERO) + c * val
+        for j, (m, val) in enumerate(values):
+            for i, e in enumerate(m):
+                if e:
+                    val = val * powers[i][e] % _P
+            values[j] = (m, val)
+        return values
+
+    def _layer(self, v):
+        """[S_0, S_1, ..] mod p for the pivot x_v; None if p divides a
+        denominator."""
+        if v in self.layers:
+            return self.layers[v]
+        if self.values is None:
+            self.values = self._term_values()
+        layer = None
+        if self.values:
+            # divide the power of x_v back out of each term's value
+            x_inv = pow(self.point[v - 1], -1, _P)
+            inv_powers = [1]
+            layer = [0]
+            for m, val in self.values:
+                e = m[v - 1]
+                while e >= len(layer):
+                    inv_powers.append(inv_powers[-1] * x_inv % _P)
+                    layer.append(0)
+                layer[e] += val * inv_powers[e]
         self.layers[v] = layer
         return layer
 
     def may_divide(self, form):
+        """False only if the form certainly does not divide."""
         v = _form_pivot(form)
-        cv = int(form[v])
-        acc = int(form[0])
-        for i in range(1, self.arity + 1):
-            if i != v and form[i]:
-                acc += int(form[i]) * self.point[i - 1]
-        t = -acc // cv if acc % cv == 0 else -QQ(acc, cv)
+        cv = form[v] % _P
         layer = self._layer(v)
-        total = ZERO
-        for e, s in layer.items():
-            total += s * t ** e
+        if layer is None or not cv:
+            return True
+        acc = form[0]
+        for i in range(1, len(form)):
+            if i != v and form[i]:
+                acc += form[i] * self.point[i - 1]
+        t = -acc * pow(cv, -1, _P) % _P
+        total = 0
+        for s in reversed(layer):
+            total = (total * t + s) % _P
         return total == 0
 
 
@@ -1034,54 +1047,9 @@ def rf_sum_a(arity, values):
             missing = k - v.den.get(f, 0)
             for _ in range(missing):
                 num = num.mul_form(f)
-        for m, c in num.terms.items():
-            s = total.get(m, ZERO) + c
-            if s == 0:
-                total.pop(m, None)
-            else:
-                total[m] = s
+        _accumulate(total, num.terms)
     return RationalFunction._normalized(arity, Polynomial(arity, total),
                                         dict(common))
-
-
-# ---------------------------------------------------------------------------
-# module-level operation aliases
-
-
-def add(f, g):
-    return f + g
-
-
-def mul(f, g):
-    return f * g
-
-
-def scale(f, c):
-    return f.scale(c)
-
-
-def substitute_affine(f, images, target_arity):
-    return f.substitute_affine(images, target_arity)
-
-
-def residue(f, a, b=0):
-    return f.residue(a, b)
-
-
-def equals(f, g):
-    return f.equals(g)
-
-
-def is_zero(f):
-    return f.is_zero()
-
-
-def partial_derivative(f, i):
-    return f.partial(i)
-
-
-def nabla(f):
-    return f.nabla()
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,10 @@ class FiltrationDegree:
     def __eq__(self, other):
         if isinstance(other, int):
             return not self.exceeds_depth and self.k == other
-        return (self.k, self.exceeds_depth) == (other.k, other.exceeds_depth)
+        if isinstance(other, FiltrationDegree):
+            return ((self.k, self.exceeds_depth)
+                    == (other.k, other.exceeds_depth))
+        return NotImplemented
 
     def __repr__(self):
         return "exceeds depth" if self.exceeds_depth else str(self.k)

@@ -13,7 +13,7 @@ silently wrong high-depth component is ever produced.
 
 from __future__ import annotations
 
-from .rationals import QQ, ZERO, ONE, rat
+from .rationals import QQ, ZERO, ONE, rat, rat_from_str, rat_str
 from .ratfun import (ArityMismatch, RationalFunction, diff_vector,
                      rf_sum_a, var_vector)
 
@@ -131,13 +131,21 @@ class DepthSeries:
                                for d, f in sorted(self.components.items())}}
         if self.weight is not None:
             data["weight"] = self.weight
+        # default const and complete are left out, so the JSON of series
+        # without them is unchanged
+        if self.const != 0:
+            data["const"] = rat_str(self.const)
+        if self.complete:
+            data["complete"] = True
         return data
 
     @classmethod
     def from_json_dict(cls, data):
         comps = {int(d): RationalFunction.from_json_dict(f)
                  for d, f in data["components"].items()}
-        return cls(comps, data["max_depth"], weight=data.get("weight"))
+        return cls(comps, data["max_depth"], weight=data.get("weight"),
+                   const=rat_from_str(data.get("const", "0")),
+                   complete=data.get("complete") is True)
 
 
 def _binary_max_depth(f, g):

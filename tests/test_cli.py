@@ -86,6 +86,36 @@ class TestBracketRes:
         assert "error" in err
 
 
+    def test_res_without_components(self, capsys, tmp_path):
+        path = tmp_path / "element.json"
+        path.write_text(json.dumps({"max_depth": 3}))
+        code, out, err = invoke(capsys, "res", "--element", str(path),
+                                "--depth", "3")
+        assert_usage_error(code, out, err)
+
+
+def assert_usage_error(code, out, err):
+    """Exit 2, nothing on stdout, one error line on stderr."""
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+class TestContract:
+    def test_verify_without_checks(self, capsys):
+        for depth in ("0", "1"):
+            code, out, err = invoke(capsys, "verify", "--gen", "psi3",
+                                    "--max-depth", depth)
+            assert_usage_error(code, out, err)
+
+    def test_gen_negative_depth(self, capsys):
+        for kind in ("psi", "chi"):
+            code, out, err = invoke(capsys, "gen", kind, "--weight", "3",
+                                    "--depth", "-2")
+            assert_usage_error(code, out, err)
+
+
 class TestDecompose:
     def test_sigma5(self, capsys):
         code, out, _ = invoke(capsys, "--format", "json", "decompose",

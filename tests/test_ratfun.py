@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dshuffle.rationals import QQ
 from dshuffle.ratfun import (ArityMismatch, ParseError, PoleOrderError,
-                             Polynomial, RationalFunction, linear_form,
-                             parse, rf_sum_a)
+                             Polynomial, RationalFunction, _DivisibilityTester,
+                             form_normalize, linear_form, parse, rf_sum_a,
+                             var_vector)
 from dshuffle.gens import psi_zero_component, s_d
 
 from conftest import make_rng, mono, random_rf
@@ -119,6 +121,112 @@ class TestSubstitute:
         images = [var_vector(2, 1), var_vector(2, 1)]
         with pytest.raises(PoleOrderError):
             f.substitute_affine(images, 2)
+
+
+small_rat = st.builds(QQ, st.integers(-6, 6), st.integers(1, 4))
+point_rat = st.builds(QQ, st.integers(-60, 60), st.integers(1, 7))
+
+
+@st.composite
+def polynomials(draw, arity):
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        exps = tuple(draw(st.integers(0, 3)) for _ in range(arity))
+        terms[exps] = draw(small_rat)
+    return Polynomial(arity, {m: c for m, c in terms.items() if c})
+
+
+@st.composite
+def rational_functions(draw, arity):
+    pairs = [(a, b) for a in range(1, arity + 1) for b in range(a)]
+    den = draw(st.lists(st.sampled_from(pairs), max_size=3))
+    return RationalFunction.from_num_den(
+        draw(polynomials(arity)), [linear_form(a, b, arity) for a, b in den])
+
+
+@st.composite
+def affine_images(draw, arity):
+    """(target arity, images) of one of the kinds the substitution
+    kernels tell apart."""
+    kind = draw(st.sampled_from(("permutation", "non-injective", "zero",
+                                 "sharp", "general")))
+    if kind == "permutation":
+        perm = draw(st.permutations(range(1, arity + 1)))
+        return arity, [var_vector(arity, j) for j in perm]
+    target = draw(st.integers(1, 3))
+    if kind in ("non-injective", "zero"):
+        low = 0 if kind == "zero" else 1
+        return target, [var_vector(target, draw(st.integers(low, target)))
+                        for _ in range(arity)]
+    if kind == "sharp":
+        images, acc = [], [QQ(0)] * (target + 1)
+        for _ in range(arity):
+            acc = list(acc)
+            acc[draw(st.integers(1, target))] += 1
+            images.append(tuple(acc))
+        return target, images
+    return target, [tuple(draw(small_rat) for _ in range(target + 1))
+                    for _ in range(arity)]
+
+
+class TestKernelOracles:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_substitute_affine_commutes_with_evaluation(self, data):
+        arity = data.draw(st.integers(1, 3))
+        f = data.draw(rational_functions(arity))
+        target, images = data.draw(affine_images(arity))
+        try:
+            g = f.substitute_affine(images, target)
+        except PoleOrderError:
+            assume(False)
+        point = tuple(data.draw(point_rat) for _ in range(target))
+        x = tuple(img[0] + sum(img[j] * point[j - 1]
+                               for j in range(1, target + 1))
+                  for img in images)
+        try:
+            expected = f.evaluate(x)
+        except ZeroDivisionError:
+            assume(False)
+        assert g.evaluate(point) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_mul_form_matches_polynomial_product(self, data):
+        arity = data.draw(st.integers(1, 3))
+        p = data.draw(polynomials(arity))
+        form = tuple(data.draw(st.one_of(st.integers(-3, 3), small_rat))
+                     for _ in range(arity + 1))
+        as_poly = Polynomial.const(arity, form[0])
+        for i in range(1, arity + 1):
+            if form[i]:
+                as_poly = as_poly + Polynomial.variable(arity, i,
+                                                        coeff=form[i])
+        assert p.mul_form(form) == p * as_poly
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_pretest_never_rejects_a_divisor(self, data):
+        arity = data.draw(st.integers(1, 3))
+        q = data.draw(polynomials(arity))
+        assume(q)
+        coeffs = [data.draw(small_rat) for _ in range(arity + 1)]
+        assume(any(coeffs[1:]))
+        _, f = form_normalize(coeffs)
+        product = q.mul_form(f)
+        assert _DivisibilityTester(product).may_divide(f)
+        assert product.divide_form(f) == q
+
+    def test_division_by_non_monic_pivot(self):
+        # 2*x2 - x1 has pivot coefficient 2
+        f = (0, -1, 2)
+        x1 = Polynomial.variable(2, 1)
+        assert x1.mul_form(f).divide_form(f) == x1
+
+    def test_pretest_defers_when_p_divides_a_denominator(self):
+        p = (1 << 61) - 1
+        num = Polynomial(1, {(0,): QQ(1, p), (1,): QQ(1)})
+        assert _DivisibilityTester(num).may_divide((1, 1))
 
 
 class TestResidue:

@@ -55,6 +55,13 @@ class TestR:
         assert repr(FiltrationDegree(2)) == "2"
         assert repr(FiltrationDegree(exceeds_depth=True)) == "exceeds depth"
 
+    def test_degree_equality(self):
+        assert FiltrationDegree(1) == 1
+        assert FiltrationDegree(1) == FiltrationDegree(1)
+        assert FiltrationDegree(1) != FiltrationDegree(exceeds_depth=True)
+        assert FiltrationDegree(1) != "a"
+        assert not FiltrationDegree(1) == None  # noqa: E711
+
 
 class TestResidueCalculus:
     def test_res_nabla_small(self):

@@ -1,5 +1,6 @@
 import pytest
 
+from dshuffle.rationals import QQ
 from dshuffle.ratfun import RationalFunction, linear_form, parse, rf_sum_a
 from dshuffle.series import (DepthSeries, cyclic_rotate, dihedral_bracket,
                              ihara_action_component,
@@ -250,3 +251,11 @@ class TestSeriesBracketStructure:
         g = DepthSeries.from_json_dict(blob)
         assert g.equals(f)
         assert g.to_json_dict() == blob
+
+    def test_json_round_trip_keeps_const_and_complete(self):
+        for f in (DepthSeries.unit(2), DepthSeries.unit(3).scale(QQ(-2, 3)),
+                  DepthSeries.single(mono(2), 3)):
+            g = DepthSeries.from_json_dict(f.to_json_dict())
+            assert (g.const, g.complete, g.max_depth) == \
+                (f.const, f.complete, f.max_depth)
+            assert g.equals(f)
