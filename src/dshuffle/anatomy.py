@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rationals import QQ, ZERO, rat_str
-from .ratfun import RationalFunction
+from .ratfun import RationalFunction, coefficient_rows
 from .series import DepthSeries, series_ihara_bracket
 from .gens import chi as chi_gen
 from .gens import psi_minus_one, psi_odd, psi_zero, Q4
@@ -103,57 +103,44 @@ def evaluate(expr, max_depth):
     return total
 
 
-def bracket_basis(weight, depth_bound, require_minus_one=False):
+def bracket_basis(weight, depth_bound):
     """Canonical triple-bracket words of the given odd total weight.
 
     The list is ordered for the deterministic pinning rule: first the word
     with two weight -1 entries, then the (a, b, -1) words by descending
-    first index.
+    first index.  Every word has a -1 entry.
     """
     if weight % 2 == 0:
         raise SolveError("odd total weight required")
     words = []
     if depth_bound >= 3:
         words.append((-1, -1, weight + 2))
-        pairs = []
         for a in range(weight - 2, 2, -2):
             b = weight + 1 - a
             if b >= 3:
-                pairs.append((a, b, -1))
-        words.extend(pairs)
-        if not require_minus_one:
-            # words without any -1 entry would belong here; for odd weight
-            # and length three they all contain -1 already
-            pass
+                words.append((a, b, -1))
     if not words:
         raise SolveError("empty bracket basis for weight %d, depth %d"
                          % (weight, depth_bound))
     return words
 
 
-def _residue_rows(residuals, rhs):
-    """Linear rows (one per monomial) for sum c_i residuals_i + rhs = 0."""
-    common = {}
-    for r in residuals + [rhs]:
-        for f, k in r.den.items():
-            common[f] = max(common.get(f, 0), k)
-    cleared = []
-    monos = set()
-    for r in residuals + [rhs]:
-        num = r.num
-        for f, k in common.items():
-            for _ in range(k - r.den.get(f, 0)):
-                num = num.mul_form(f)
-        cleared.append(num)
-        monos.update(num.terms)
-    rows, rhs_vec = [], []
-    for m in sorted(monos):
-        rows.append([c.terms.get(m, ZERO) for c in cleared[:-1]])
-        rhs_vec.append(-cleared[-1].terms.get(m, ZERO))
-    return rows, rhs_vec
+def _residue_conditions(columns, lead, residue_maps):
+    """Rows and right-hand side of sum c_i res(columns_i) = -res(lead),
+    one block per residue map res."""
+    rows, rhs = [], []
+    for res in residue_maps:
+        for row in coefficient_rows([res(s) for s in columns] + [res(lead)]):
+            rows.append(row[:-1])
+            rhs.append(-row[-1])
+    return rows, rhs
 
 
-def solve_sigma(weight, depth_bound, require_minus_one=False, basis="psi"):
+def _depth_residue(d):
+    return lambda s: R(s.component(d))
+
+
+def solve_sigma(weight, depth_bound, basis="psi"):
     """Coefficients making the total residue vanish through depth_bound.
 
     Returns a BracketExpression with leading word (weight,) at coefficient
@@ -167,20 +154,12 @@ def solve_sigma(weight, depth_bound, require_minus_one=False, basis="psi"):
     if depth_bound > 2 * n:
         raise SolveError("depth bound %d beyond the solvable range %d"
                          % (depth_bound, 2 * n))
-    words = bracket_basis(weight, min(depth_bound, 3),
-                          require_minus_one=require_minus_one) \
-        if depth_bound >= 3 else []
+    words = bracket_basis(weight, 3) if depth_bound >= 3 else []
     lead = generator_series(weight, depth_bound, basis)
     word_series = [evaluate_word(w, depth_bound, basis) for w in words]
-    rows, rhs = [], []
-    for d in range(2, depth_bound + 1):
-        residuals = [R(s.component(d)) for s in word_series]
-        lead_res = R(lead.component(d))
-        if all(r.is_zero() for r in residuals) and lead_res.is_zero():
-            continue
-        r_rows, r_rhs = _residue_rows(residuals, lead_res)
-        rows.extend(r_rows)
-        rhs.extend(r_rhs)
+    rows, rhs = _residue_conditions(
+        word_series, lead,
+        [_depth_residue(d) for d in range(2, depth_bound + 1)])
     if rows:
         sol, kernel_dim, consistent = linalg.solve_affine(rows, rhs)
         if not consistent:
@@ -211,28 +190,14 @@ def chi_q4_decomposition(weight):
         DepthSeries.single(RationalFunction.power_of_var(1, 1, weight - 1),
                            5, weight=weight),
         DepthSeries.single(Q4(), 5, weight=0))
-    columns = word_series + [q4_word]
-    rows, rhs = [], []
-    for d in range(2, 5):
-        residuals = [R(s.component(d)) for s in columns]
-        lead_res = R(lead.component(d))
-        if all(r.is_zero() for r in residuals) and lead_res.is_zero():
-            continue
-        r_rows, r_rhs = _residue_rows(residuals, lead_res)
-        rows.extend(r_rows)
-        rhs.extend(r_rhs)
     # at depth 5 only the residues along the inner divisors x_i = 0 are
     # used: length-5 words have the restricted pole shape and cannot
     # contribute there, so these conditions close over this basis
-    for i in (2, 3, 4):
-        residuals = [s.component(5).residue(i).drop_variable(i)
-                     for s in columns]
-        lead_res = lead.component(5).residue(i).drop_variable(i)
-        if all(r.is_zero() for r in residuals) and lead_res.is_zero():
-            continue
-        r_rows, r_rhs = _residue_rows(residuals, lead_res)
-        rows.extend(r_rows)
-        rhs.extend(r_rhs)
+    rows, rhs = _residue_conditions(
+        word_series + [q4_word], lead,
+        [_depth_residue(d) for d in range(2, 5)]
+        + [lambda s, i=i: s.component(5).residue(i).drop_variable(i)
+           for i in (2, 3, 4)])
     sol, kernel_dim, consistent = linalg.solve_affine(rows, rhs)
     if not consistent:
         raise SolveError("residue conditions are inconsistent")

@@ -12,9 +12,8 @@ import json
 import os
 import sys
 
-from .rationals import QQ, rat_str
+from .rationals import rat_str
 from .ratfun import ParseError, RationalFunction
-from .ratfun import parse as parse_ratfun
 from .series import DepthSeries
 from . import anatomy, dsh_check, gens, modforms, resflt
 
@@ -69,6 +68,7 @@ def cmd_gen(args):
     elif args.kind == "chi":
         series = gens.generator("chi%d" % args.weight, args.depth)
     elif args.kind == "sd":
+        _require_at_least("--d", args.d, 1)
         series = gens.generator("sd:%d" % args.d, args.d)
     elif args.kind == "vine":
         vines = gens.enumerate_vines(args.n)
@@ -93,22 +93,10 @@ def _verify_reports(series, max_depth, jobs):
     if jobs <= 1:
         return dsh_check.is_in_pdmr(series, max_depth)
     from concurrent.futures import ProcessPoolExecutor
-    tasks = []
-    for n in range(2, max_depth + 1):
-        for p in range(1, n // 2 + 1):
-            tasks.append((p, n - p))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_verify_one, series, p, q) for p, q in tasks]
-        results = [f.result() for f in futures]
-    reports = []
-    for pair in results:
-        reports.extend(pair)
-    return reports
-
-
-def _verify_one(series, p, q):
-    return [dsh_check.check_shuffle(series.component(p + q), p, q),
-            dsh_check.check_stuffle(series, p, q)]
+        futures = [pool.submit(dsh_check.check_pair, series, p, q)
+                   for p, q in dsh_check.pdmr_pairs(max_depth)]
+        return [r for f in futures for r in f.result()]
 
 
 def cmd_verify(args):
@@ -129,6 +117,8 @@ def cmd_verify(args):
 
 
 def cmd_bracket(args):
+    # the bracket of two generators starts in depth 2
+    _require_at_least("--max-depth", args.max_depth, 2)
     left = gens.generator(args.f, args.max_depth)
     right = gens.generator(args.g, args.max_depth)
     from .series import series_ihara_bracket
@@ -146,7 +136,6 @@ def cmd_res(args):
 
 def cmd_decompose(args):
     expr = anatomy.solve_sigma(args.weight, args.max_depth,
-                               require_minus_one=args.require_minus_one,
                                basis=args.basis)
     if args.format == "json":
         print(json.dumps(expr.to_json_dict(), sort_keys=True))
@@ -178,6 +167,7 @@ def _dims_row(space, w):
 
 
 def cmd_dims(args):
+    _require_at_least("--max-weight", args.max_weight, args.min_weight)
     rows = []
     for w in range(args.min_weight, args.max_weight + 1):
         rows.append((w, _dims_row(args.space, w)))
@@ -194,8 +184,7 @@ def cmd_dims(args):
 
 def cmd_coeff(args):
     word = tuple(int(x) for x in args.word.split(","))
-    expr = anatomy.solve_sigma(args.weight, args.max_depth,
-                               require_minus_one=args.require_minus_one)
+    expr = anatomy.solve_sigma(args.weight, args.max_depth)
     series = anatomy.evaluate(expr, len(word))
     value = anatomy.coefficient_of_word(series, word)
     if args.format == "json":
@@ -225,7 +214,6 @@ def build_parser():
     g.add_argument("--d", type=int, required=True)
     g = gsub.add_parser("vine")
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--list", action="store_true")
 
     p = sub.add_parser("verify", help="double shuffle membership")
     p.add_argument("--gen", required=True, help=GENERATOR_HELP)
@@ -245,7 +233,6 @@ def build_parser():
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--max-depth", type=int, default=4)
     p.add_argument("--basis", choices=("psi", "chi"), default="psi")
-    p.add_argument("--require-minus-one", action="store_true")
 
     p = sub.add_parser("dims", help="dimension tables")
     p.add_argument("--space", choices=DIM_SPACES, required=True)
@@ -256,7 +243,6 @@ def build_parser():
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--word", required=True, help="comma-separated, e.g. 5,2,2")
     p.add_argument("--max-depth", type=int, default=4)
-    p.add_argument("--require-minus-one", action="store_true")
 
     return parser
 
@@ -287,49 +273,3 @@ def run(argv):
 
 def main():  # pragma: no cover
     sys.exit(run(sys.argv[1:]))
-
-
-def golden_corpus():
-    """Named replay checks for the headline exact values.
-
-    Returns a list of (name, callable) pairs; each callable returns True
-    exactly when the recorded value is reproduced.
-    """
-    from .series import ihara_bracket_component
-
-    def mono(n):
-        return RationalFunction.power_of_var(1, 1, n)
-
-    checks = []
-
-    def add(name, fn):
-        checks.append((name, fn))
-
-    add("ihara relation weight 12",
-        lambda: (ihara_bracket_component(mono(2), mono(8))
-                 - ihara_bracket_component(mono(4), mono(6)).scale(3))
-        .is_zero())
-    add("witt s1 s2",
-        lambda: ihara_bracket_component(gens.s_d(1), gens.s_d(2))
-        .equals(gens.s_d(3).scale(1)))
-    add("Q4 residue",
-        lambda: gens.Q4().residue(3).equals(
-            RationalFunction.from_json_dict(
-                {"arity": 4, "num": [[1, 1, [0, 0, 0, 0]]],
-                 "den": [[1, 0], [2, 0], [4, 0]]})))
-    add("psi0 depth 2",
-        lambda: gens.psi_zero_component(2).equals(
-            parse_ratfun("2/(x1*x2)", arity=2).scale(QQ(1, 3))
-            + parse_ratfun("1/(x1*(x1-x2))", arity=2).scale(QQ(1, 3))))
-    add("psi-1 depth 2",
-        lambda: gens.psi_minus_one_component(2).equals(
-            parse_ratfun("1/(x1*x2*x2)", arity=2)
-            - parse_ratfun("1/(x1*(x2-x1)*x2)", arity=2).scale(QQ(1, 2))))
-    add("sigma5 coefficients",
-        lambda: anatomy.solve_sigma(5, 4).terms
-        == {(5,): QQ(1), (-1, -1, 7): QQ(-1, 60), (3, 3, -1): QQ(-1, 5)})
-    add("sigma9 word (5,2,2)",
-        lambda: anatomy.coefficient_of_word(
-            anatomy.evaluate(anatomy.solve_sigma(9, 4), 3), (5, 2, 2))
-        == QQ(-3319, 72))
-    return checks

@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rationals import ZERO
-from .ratfun import RationalFunction, rf_sum_a, var_vector
+from .ratfun import (Polynomial, RationalFunction, linear_form, rf_sum_a,
+                     var_vector)
 from .series import sigma, tau
 from .words import lie_projector, shuffle, stuffle
+from .gens import c_n
 
 
 @dataclass
@@ -77,7 +79,6 @@ def check_shuffle(f, p, q):
 def _stuffle_term_eval(series, term, arity):
     """Evaluate one stuffle term, expanding merged letters as divided
     differences of the lower-depth components."""
-    from .ratfun import Polynomial, linear_form
     merged = [i for i, l in enumerate(term) if isinstance(l, tuple)]
     r = len(term)
     comp = series.component(r)
@@ -192,7 +193,6 @@ def check_six_term(series, d):
     """
     if series.weight is None or series.weight % 2 != 0:
         raise ValueError("six-term relation is for even homogeneous weight")
-    from .ratfun import Polynomial, linear_form
     from .series import ihara_action_component, stuffle_concat
     f_d = series.component(d)
     f_prev = series.component(d - 1)
@@ -206,15 +206,23 @@ def check_six_term(series, d):
     return EquationReport.from_residual("six_term", (d,), residual)
 
 
+def pdmr_pairs(max_depth):
+    """The indices (p, q), p <= q, of the double shuffle families through
+    max_depth, by depth p + q."""
+    return [(p, n - p) for n in range(2, max_depth + 1)
+            for p in range(1, n // 2 + 1)]
+
+
+def check_pair(series, p, q):
+    """The (p,q) shuffle and stuffle reports of a depth series."""
+    return [check_shuffle(series.component(p + q), p, q),
+            check_stuffle(series, p, q)]
+
+
 def is_in_pdmr(series, max_depth):
     """All (p,q) shuffle and stuffle families through max_depth."""
-    reports = []
-    for n in range(2, max_depth + 1):
-        for p in range(1, n // 2 + 1):
-            q = n - p
-            reports.append(check_shuffle(series.component(n), p, q))
-            reports.append(check_stuffle(series, p, q))
-    return reports
+    return [r for p, q in pdmr_pairs(max_depth)
+            for r in check_pair(series, p, q)]
 
 
 def is_in_pls(f, check_poles=True):
@@ -231,7 +239,11 @@ def is_in_pls(f, check_poles=True):
             1, _odd_part(f.num), dict(f.den))
         reports.append(EquationReport.from_residual("parity", (1,), odd))
     if check_poles:
-        cleared = f * _c_bar_poly(n)
+        bar = Polynomial.const(n, 1)
+        for form, k in c_n(n).den.items():
+            for _ in range(k):
+                bar = bar.mul_form(form)
+        cleared = f * RationalFunction.from_poly(bar)
         residual = cleared if not cleared.is_polynomial() \
             else RationalFunction.zero(n)
         reports.append(EquationReport("pole_shape", (n,), residual,
@@ -240,24 +252,8 @@ def is_in_pls(f, check_poles=True):
 
 
 def _odd_part(p):
-    from .ratfun import Polynomial
     return Polynomial(p.arity, {m: c for m, c in p.terms.items()
                                 if sum(m) % 2 == 1})
-
-
-def _c_bar_poly(n):
-    """x_1 (x_2-x_1) .. (x_n-x_(n-1)) x_n as a rational function."""
-    from .ratfun import Polynomial
-    p = Polynomial.variable(n, 1)
-    for i in range(2, n + 1):
-        form = [0] * (n + 1)
-        form[i] = 1
-        form[i - 1] = -1
-        p = p.mul_form(tuple(form))
-    form = [0] * (n + 1)
-    form[n] = 1
-    p = p.mul_form(tuple(form))
-    return RationalFunction.from_poly(p)
 
 
 def all_pass(reports):

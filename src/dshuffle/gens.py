@@ -74,33 +74,34 @@ def _diff_power(arity, i, j, n):
 # psi_(2n+1)
 
 
+def _psi_families(n, d):
+    """The term lists (e, d, f1, f2) of psi_(2n+1) at depth d, with
+    psi = (sum of all terms)/2."""
+    e = [x_AB_inverse(range(0, i - 1), [i - 1], d,
+                      _diff_power(d, i, i - 1, 2 * n))
+         * x_AB_inverse(range(i + 1, d + 1), [i], d)
+         for i in range(1, d + 1)]
+    dd = [x_AB_inverse(range(1, i), [0], d, Polynomial.variable(d, d, 2 * n))
+          * x_AB_inverse(range(i, d), [d], d)
+          for i in range(1, d + 1)]
+    f1 = [x_AB_inverse(range(2, i + 1), [1], d, _diff_power(d, 1, d, 2 * n))
+          * x_AB_inverse(range(i + 1, d), [d], d)
+          * x_AB_inverse([d], [0], d)
+          for i in range(1, d)]
+    f2 = [-(x_AB_inverse([d] + list(range(1, i)), [0], d,
+                         Polynomial.variable(d, d - 1, 2 * n))
+            * x_AB_inverse(range(i, d - 1), [d - 1], d))
+          for i in range(1, d)]
+    return e, dd, f1, f2
+
+
 @lru_cache(maxsize=None)
 def psi_odd_component(n, d):
     """Depth-d component of psi_(2n+1) (weight 2n+1, n >= 1)."""
     if d == 0:
         return RationalFunction.zero(0)
-    half = QQ(1, 2)
-    parts = []
-    for i in range(1, d + 1):
-        parts.append(x_AB_inverse(
-            range(0, i - 1), [i - 1], d,
-            _diff_power(d, i, i - 1, 2 * n))
-            * x_AB_inverse(range(i + 1, d + 1), [i], d))
-        parts.append(x_AB_inverse(
-            range(1, i), [0], d,
-            Polynomial.variable(d, d, 2 * n))
-            * x_AB_inverse(range(i, d), [d], d))
-    for i in range(1, d):
-        parts.append(x_AB_inverse(
-            range(2, i + 1), [1], d,
-            _diff_power(d, 1, d, 2 * n))
-            * x_AB_inverse(range(i + 1, d), [d], d)
-            * x_AB_inverse([d], [0], d))
-        parts.append(-(x_AB_inverse(
-            [d] + list(range(1, i)), [0], d,
-            Polynomial.variable(d, d - 1, 2 * n))
-            * x_AB_inverse(range(i, d - 1), [d - 1], d)))
-    return rf_sum_a(d, parts).scale(half)
+    e, dd, f1, f2 = _psi_families(n, d)
+    return rf_sum_a(d, e + dd + f1 + f2).scale(QQ(1, 2))
 
 
 def psi_odd(n, max_depth):
@@ -111,57 +112,14 @@ def psi_odd(n, max_depth):
 
 def psi_pieces_ABC(n, d):
     """The three stuffle-side pieces with psi = (A + B + C)/2 at depth d."""
-    A = x_AB_inverse(range(2, d + 1), [1], d,
-                     Polynomial.variable(d, 1, 2 * n))
-    B_parts = []
-    for i in range(1, d + 1):
-        B_parts.append(x_AB_inverse(range(1, i), [0], d,
-                                    Polynomial.variable(d, d, 2 * n))
-                       * x_AB_inverse(range(i, d), [d], d))
-    for i in range(1, d):
-        B_parts.append(-(x_AB_inverse([d] + list(range(1, i)), [0], d,
-                                      Polynomial.variable(d, d - 1, 2 * n))
-                         * x_AB_inverse(range(i, d - 1), [d - 1], d)))
-    B = rf_sum_a(d, B_parts)
-    C_parts = []
-    for i in range(2, d + 1):
-        C_parts.append(x_AB_inverse(range(0, i - 1), [i - 1], d,
-                                    _diff_power(d, i, i - 1, 2 * n))
-                       * x_AB_inverse(range(i + 1, d + 1), [i], d))
-    for i in range(1, d):
-        C_parts.append(x_AB_inverse(range(2, i + 1), [1], d,
-                                    _diff_power(d, 1, d, 2 * n))
-                       * x_AB_inverse(range(i + 1, d), [d], d)
-                       * x_AB_inverse([d], [0], d))
-    C = rf_sum_a(d, C_parts)
-    return A, B, C
+    e, dd, f1, f2 = _psi_families(n, d)
+    return e[0], rf_sum_a(d, dd + f2), rf_sum_a(d, e[1:] + f1)
 
 
 def psi_pieces_DEF(n, d):
     """The three shuffle-side pieces with psi = (D + E + F)/2 at depth d."""
-    D_parts = []
-    for i in range(1, d + 1):
-        D_parts.append(x_AB_inverse(range(1, i), [0], d,
-                                    Polynomial.variable(d, d, 2 * n))
-                       * x_AB_inverse(range(i, d), [d], d))
-    D = rf_sum_a(d, D_parts)
-    E_parts = []
-    for i in range(1, d + 1):
-        E_parts.append(x_AB_inverse(range(0, i - 1), [i - 1], d,
-                                    _diff_power(d, i, i - 1, 2 * n))
-                       * x_AB_inverse(range(i + 1, d + 1), [i], d))
-    E = rf_sum_a(d, E_parts)
-    F_parts = []
-    for i in range(1, d):
-        F_parts.append(x_AB_inverse(range(2, i + 1), [1], d,
-                                    _diff_power(d, 1, d, 2 * n))
-                       * x_AB_inverse(range(i + 1, d), [d], d)
-                       * x_AB_inverse([d], [0], d))
-        F_parts.append(-(x_AB_inverse([d] + list(range(1, i)), [0], d,
-                                      Polynomial.variable(d, d - 1, 2 * n))
-                         * x_AB_inverse(range(i, d - 1), [d - 1], d)))
-    F = rf_sum_a(d, F_parts)
-    return D, E, F
+    e, dd, f1, f2 = _psi_families(n, d)
+    return rf_sum_a(d, dd), rf_sum_a(d, e), rf_sum_a(d, f1 + f2)
 
 
 # ---------------------------------------------------------------------------

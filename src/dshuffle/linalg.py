@@ -56,14 +56,7 @@ def nullspace(matrix, n_cols):
     return basis
 
 
-def rank(matrix):
-    if not matrix:
-        return 0
-    _, pivots = rref(matrix)
-    return len(pivots)
-
-
-def solve_affine(matrix, rhs, pin_free_to_zero=True):
+def solve_affine(matrix, rhs):
     """Solve M x = rhs exactly.
 
     Returns (solution, kernel_dim, consistent).  When the system is

@@ -10,10 +10,11 @@ against.
 from __future__ import annotations
 
 from .rationals import QQ, ZERO
-from .ratfun import (Polynomial, RationalFunction, linear_form, rf_sum_a,
-                     var_vector)
+from .ratfun import (Polynomial, RationalFunction, coefficient_rows,
+                     diff_vector, linear_form, rf_sum_a, var_vector)
 from . import linalg
 from .dsh_check import check_linearized, perm_eval
+from .gens import c_n
 
 
 # ---------------------------------------------------------------------------
@@ -111,30 +112,19 @@ def _bivariate_monomials(degree, parity):
     return out
 
 
-def _three_term_rows(monomials, degree):
+def _three_term_rows(monomials):
     """Rows of the linear system P(x,y)+P(y,x) = 0 and
     P(x,y)+P(x-y,x)+P(-y,x-y) = 0 in the given monomial basis."""
-    sym_rows = {}
-    rel_rows = {}
     swap = [var_vector(2, 2), var_vector(2, 1)]
     sub1 = [(ZERO, QQ(1), QQ(-1)), (ZERO, QQ(1), ZERO)]      # (x-y, x)
     sub2 = [(ZERO, ZERO, QQ(-1)), (ZERO, QQ(1), QQ(-1))]     # (-y, x-y)
-    for col, (a, b) in enumerate(monomials):
-        p = Polynomial.monomial(2, (a, b), 1)
-        f = RationalFunction.from_poly(p)
-        sym = p + f.substitute_affine(swap, 2).num
-        for m, c in sym.terms.items():
-            sym_rows.setdefault(m, {})[col] = c
-        rel = (p + f.substitute_affine(sub1, 2).num
-               + f.substitute_affine(sub2, 2).num)
-        for m, c in rel.terms.items():
-            rel_rows.setdefault(m, {})[col] = c
-    matrix = []
-    for table in (sym_rows, rel_rows):
-        for m in sorted(table):
-            matrix.append([table[m].get(c, ZERO)
-                           for c in range(len(monomials))])
-    return matrix
+    sym, rel = [], []
+    for a, b in monomials:
+        f = RationalFunction.monomial(2, (a, b))
+        sym.append(f + f.substitute_affine(swap, 2))
+        rel.append(rf_sum_a(2, [f, f.substitute_affine(sub1, 2),
+                                f.substitute_affine(sub2, 2)]))
+    return coefficient_rows(sym) + coefficient_rows(rel)
 
 
 def period_space(weight, parity, primitive=True):
@@ -149,7 +139,7 @@ def period_space(weight, parity, primitive=True):
     monomials = _bivariate_monomials(degree, parity)
     if not monomials:
         return []
-    matrix = _three_term_rows(monomials, degree)
+    matrix = _three_term_rows(monomials)
     if parity == "even" and primitive:
         matrix.append([QQ(1) if b == 0 else ZERO for (a, b) in monomials])
     basis = linalg.nullspace(matrix, len(monomials))
@@ -191,22 +181,15 @@ def exceptional_e(f):
     for k in range(5):
         def y(i):
             return (i + k) % 5 + 1
-        img1 = [_slot_diff(m, y(4), y(3)), _slot_diff(m, y(2), y(1))]
+        img1 = [diff_vector(m, y(4), y(3)), diff_vector(m, y(2), y(1))]
         parts.append(f1.substitute_affine(img1, m))
-        img0 = [_slot_diff(m, y(2), y(3)), _slot_diff(m, y(4), y(3))]
+        img0 = [diff_vector(m, y(2), y(3)), diff_vector(m, y(4), y(3))]
         lin = RationalFunction.from_poly(
             Polynomial.variable(m, y(0)) - Polynomial.variable(m, y(1)))
         parts.append(lin * f0.substitute_affine(img0, m))
     total = rf_sum_a(m, parts)
     images = [var_vector(4, 0)] + [var_vector(4, i) for i in range(1, 5)]
     return total.substitute_affine(images, 4)
-
-
-def _slot_diff(arity, i, j):
-    vec = [ZERO] * (arity + 1)
-    vec[i] += QQ(1)
-    vec[j] -= QQ(1)
-    return tuple(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +212,6 @@ def _monomials(arity, degree):
     return out
 
 
-def _consecutive_pole_den(depth):
-    """Denominator multiset of x_1 (x_2-x_1) .. (x_r-x_(r-1)) x_r."""
-    den = {linear_form(1, 0, depth): 1}
-    for i in range(2, depth + 1):
-        f = linear_form(i, i - 1, depth)
-        den[f] = den.get(f, 0) + 1
-    f = linear_form(depth, 0, depth)
-    den[f] = den.get(f, 0) + 1
-    return den
-
-
 def lin_ds_nullspace(depth, weight, allow_poles=False, ansatz_cap=20000):
     """Exact basis of linearized double shuffle solutions.
 
@@ -248,7 +220,7 @@ def lin_ds_nullspace(depth, weight, allow_poles=False, ansatz_cap=20000):
     difference product (the restricted pole shape).
     """
     if allow_poles:
-        den = _consecutive_pole_den(depth)
+        den = c_n(depth).den
         num_degree = weight - depth + depth + 1
     else:
         den = {}
@@ -267,7 +239,7 @@ def lin_ds_nullspace(depth, weight, allow_poles=False, ansatz_cap=20000):
         for sharp in (False, True):
             residuals = [check_linearized(b, p, q, sharp).residual
                          for b in basis_fns]
-            rows.extend(_residual_rows(residuals))
+            rows.extend(coefficient_rows(residuals))
     if depth == 1:
         # evenness constraint from the depth-two stuffle family
         for i, m in enumerate(monomials):
@@ -282,27 +254,6 @@ def lin_ds_nullspace(depth, weight, allow_poles=False, ansatz_cap=20000):
         out.append(RationalFunction.from_num_den(Polynomial(depth, terms),
                                                  dict(den)))
     return out
-
-
-def _residual_rows(residuals):
-    """Turn a list of residuals (linear in the ansatz) into matrix rows."""
-    common = {}
-    for r in residuals:
-        for f, k in r.den.items():
-            common[f] = max(common.get(f, 0), k)
-    cleared = []
-    monos = set()
-    for r in residuals:
-        num = r.num
-        for f, k in common.items():
-            for _ in range(k - r.den.get(f, 0)):
-                num = num.mul_form(f)
-        cleared.append(num)
-        monos.update(num.terms)
-    rows = []
-    for m in sorted(monos):
-        rows.append([num.terms.get(m, ZERO) for num in cleared])
-    return rows
 
 
 def ls_dimension(depth, weight, allow_poles=False):
@@ -332,13 +283,7 @@ def bracket_kernel_ls2(weight):
         xa = RationalFunction.power_of_var(1, 1, 2 * a)
         xb = RationalFunction.power_of_var(1, 1, 2 * b)
         brackets.append(ihara_bracket_component(xa, xb))
-    monos = set()
-    for br in brackets:
-        monos.update(br.num.terms)
-    rows = []
-    for m in sorted(monos):
-        rows.append([br.num.terms.get(m, ZERO) for br in brackets])
-    kernel = linalg.nullspace(rows, len(brackets))
+    kernel = linalg.nullspace(coefficient_rows(brackets), len(brackets))
     return len(kernel), pairs
 
 
@@ -349,9 +294,9 @@ def bracket_kernel_ls2(weight):
 def pi2(f):
     """Projection onto antisymmetric cyclic-sum-zero polynomials."""
     w1 = perm_eval(f, (2, 1))
-    sub1 = f.substitute_affine([_slot_diff(2, 2, 1),
+    sub1 = f.substitute_affine([diff_vector(2, 2, 1),
                                 (ZERO, QQ(-1), ZERO)], 2)   # (x2-x1, -x1)
-    sub2 = f.substitute_affine([_slot_diff(2, 1, 2),
+    sub2 = f.substitute_affine([diff_vector(2, 1, 2),
                                 (ZERO, ZERO, QQ(-1))], 2)   # (x1-x2, -x2)
     return rf_sum_a(2, [f, -w1, -sub1, sub2])
 
@@ -361,25 +306,17 @@ def c2_space(degree):
     monomials = _monomials(2, degree)
     if not monomials:
         return []
-    rows = {}
-    sym_rows = {}
-    cyc_rows = {}
-    for col, m in enumerate(monomials):
-        f = RationalFunction.from_poly(Polynomial.monomial(2, m, 1))
-        anti = f + perm_eval(f, (2, 1))
-        for mm, c in anti.num.terms.items():
-            sym_rows.setdefault(mm, {})[col] = c
-        cyc = rf_sum_a(2, [
+    anti, cyc = [], []
+    for m in monomials:
+        f = RationalFunction.monomial(2, m)
+        anti.append(f + perm_eval(f, (2, 1)))
+        cyc.append(rf_sum_a(2, [
             f,
-            f.substitute_affine([_slot_diff(2, 2, 1), (ZERO, QQ(-1), ZERO)], 2),
-            f.substitute_affine([(ZERO, ZERO, QQ(-1)), _slot_diff(2, 1, 2)], 2)])
-        for mm, c in cyc.num.terms.items():
-            cyc_rows.setdefault(mm, {})[col] = c
-    matrix = []
-    for table in (sym_rows, cyc_rows):
-        for mm in sorted(table):
-            matrix.append([table[mm].get(c, ZERO)
-                           for c in range(len(monomials))])
+            f.substitute_affine([diff_vector(2, 2, 1),
+                                 (ZERO, QQ(-1), ZERO)], 2),
+            f.substitute_affine([(ZERO, ZERO, QQ(-1)),
+                                 diff_vector(2, 1, 2)], 2)]))
+    matrix = coefficient_rows(anti) + coefficient_rows(cyc)
     basis = linalg.nullspace(matrix, len(monomials))
     out = []
     for vec in basis:

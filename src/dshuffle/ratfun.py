@@ -745,21 +745,8 @@ class RationalFunction:
             raise PoleOrderError("pole of order %d along %s"
                                  % (k, form_text(form)))
         counts = {f: m for f, m in self.den.items() if f != form}
-        images = [var_vector(self.arity, i) for i in range(1, self.arity + 1)]
-        images[a - 1] = var_vector(self.arity, b)
-        num = self.num.substitute_affine(images, self.arity)
-        new_counts = {}
-        scalar = ONE
-        for f, m in counts.items():
-            s, nf = form_substitute(f, images, self.arity)
-            if nf is None:
-                raise PoleOrderError("denominator form %s vanishes on x%d=x%d"
-                                     % (form_text(f), a, b))
-            scalar *= s ** m
-            new_counts[nf] = new_counts.get(nf, 0) + m
-        if scalar != 1:
-            num = num.scale(ONE / scalar)
-        return RationalFunction._normalized(self.arity, num, new_counts)
+        return RationalFunction(self.arity, self.num,
+                                counts).residue_free_subs(a, b)
 
     def laurent_residue(self, a, b=0):
         """Coefficient of 1/(x_a - x_b) in the Laurent expansion along the
@@ -1029,27 +1016,53 @@ def rf_sum(values):
     return rf_sum_a(values[0].arity, values)
 
 
+def _common_den(values):
+    """Least common multiple of the values' denominators, form -> power."""
+    common = {}
+    for v in values:
+        for f, k in v.den.items():
+            if common.get(f, 0) < k:
+                common[f] = k
+    return common
+
+
+def _over(v, common):
+    """Numerator of v written over the common denominator."""
+    num = v.num
+    for f, k in common.items():
+        for _ in range(k - v.den.get(f, 0)):
+            num = num.mul_form(f)
+    return num
+
+
 def rf_sum_a(arity, values):
     values = [v for v in values if not v.is_zero()]
     if not values:
         return RationalFunction.zero(arity)
-    common = {}
+    common = _common_den(values)
+    total = {}
     for v in values:
         if v.arity != arity:
             raise ArityMismatch("mixed arities in sum")
-        for f, k in v.den.items():
-            if common.get(f, 0) < k:
-                common[f] = k
-    total = {}
-    for v in values:
-        num = v.num
-        for f, k in common.items():
-            missing = k - v.den.get(f, 0)
-            for _ in range(missing):
-                num = num.mul_form(f)
-        _accumulate(total, num.terms)
+        _accumulate(total, _over(v, common).terms)
     return RationalFunction._normalized(arity, Polynomial(arity, total),
                                         dict(common))
+
+
+def coefficient_rows(values):
+    """Linear conditions on c for sum c_i values_i = 0.
+
+    The values are cleared to their common denominator; there is one row
+    per monomial of the cleared numerators, in sorted order, and entry i
+    of a row is that monomial's coefficient in the numerator of
+    values_i.  The sum vanishes exactly when c is orthogonal to every row.
+    """
+    common = _common_den(values)
+    cleared = [_over(v, common).terms for v in values]
+    monos = set()
+    for terms in cleared:
+        monos.update(terms)
+    return [[terms.get(m, ZERO) for terms in cleared] for m in sorted(monos)]
 
 
 # ---------------------------------------------------------------------------

@@ -245,10 +245,6 @@ def series_stuffle(f, g):
                        complete=f.complete and g.complete)
 
 
-def series_stuffle_bracket(f, g):
-    return series_stuffle(f, g) - series_stuffle(g, f)
-
-
 def stuffle_exp(nu, max_depth):
     """exp of a scalar-free series in the stuffle algebra."""
     if nu.const != 0:

@@ -107,7 +107,7 @@ class TestCriterion05SigmaCoefficients:
         report("5: sigma_9 coefficients (exact solve)", ok)
 
     def test_sigma11(self):
-        expr = solve_sigma(11, 4, require_minus_one=True)
+        expr = solve_sigma(11, 4)
         ok = (expr.terms.get((-1, -1, 13)) == QQ(-1, 264)
               and expr.terms.get((9, 3, -1)) == QQ(-241, 2112)
               and expr.terms.get((7, 5, -1)) == QQ(479, 2112)

@@ -1,8 +1,11 @@
 import json
 
-from dshuffle.cli import emit, golden_corpus, run
+from dshuffle import anatomy, gens
+from dshuffle.cli import emit, run
+from dshuffle.rationals import QQ
 from dshuffle.ratfun import RationalFunction, parse
 from dshuffle.gens import psi_odd
+from dshuffle.series import ihara_bracket_component
 
 
 def invoke(capsys, *argv):
@@ -28,7 +31,7 @@ class TestGen:
         assert series.equals(psi_minus_one(3))
 
     def test_vines(self, capsys):
-        code, out, _ = invoke(capsys, "gen", "vine", "--n", "3", "--list")
+        code, out, _ = invoke(capsys, "gen", "vine", "--n", "3")
         assert code == 0
         assert "g111" in out and "g3" in out
 
@@ -58,6 +61,13 @@ class TestVerify:
                               "--max-depth", "2")
         assert code == 1
         assert "FAIL" in out
+
+    def test_parallel_jobs_match_serial(self, capsys, monkeypatch):
+        argv = ("verify", "--gen", "psi3", "--max-depth", "4")
+        monkeypatch.delenv("DSHUFFLE_JOBS", raising=False)
+        serial = invoke(capsys, *argv)
+        monkeypatch.setenv("DSHUFFLE_JOBS", "2")
+        assert invoke(capsys, *argv) == serial
 
 
 class TestBracketRes:
@@ -115,6 +125,23 @@ class TestContract:
                                     "--depth", "-2")
             assert_usage_error(code, out, err)
 
+    def test_gen_sd_without_components(self, capsys):
+        for d in ("0", "-1"):
+            code, out, err = invoke(capsys, "gen", "sd", "--d", d)
+            assert_usage_error(code, out, err)
+
+    def test_bracket_without_components(self, capsys):
+        # the bracket of two generators starts in depth 2
+        for depth in ("0", "1"):
+            code, out, err = invoke(capsys, "bracket", "--f", "sd:1",
+                                    "--g", "sd:2", "--max-depth", depth)
+            assert_usage_error(code, out, err)
+
+    def test_dims_empty_weight_range(self, capsys):
+        code, out, err = invoke(capsys, "dims", "--space", "ls2",
+                                "--min-weight", "5", "--max-weight", "3")
+        assert_usage_error(code, out, err)
+
 
 class TestDecompose:
     def test_sigma5(self, capsys):
@@ -127,8 +154,7 @@ class TestDecompose:
 
     def test_sigma11_constrained(self, capsys):
         code, out, _ = invoke(capsys, "--format", "json", "decompose",
-                              "--weight", "11", "--max-depth", "4",
-                              "--require-minus-one")
+                              "--weight", "11", "--max-depth", "4")
         assert code == 0
         data = json.loads(out)
         assert data["kernel_dim"] == 1
@@ -168,6 +194,50 @@ class TestParsing:
         assert emit(f, "text") == f.text()
         blob = emit(f, "json")
         assert RationalFunction.from_json(blob).equals(f)
+
+
+def golden_corpus():
+    """Named replay checks for the headline exact values.
+
+    Returns a list of (name, callable) pairs; each callable returns True
+    exactly when the recorded value is reproduced.
+    """
+    def mono(n):
+        return RationalFunction.power_of_var(1, 1, n)
+
+    checks = []
+
+    def add(name, fn):
+        checks.append((name, fn))
+
+    add("ihara relation weight 12",
+        lambda: (ihara_bracket_component(mono(2), mono(8))
+                 - ihara_bracket_component(mono(4), mono(6)).scale(3))
+        .is_zero())
+    add("witt s1 s2",
+        lambda: ihara_bracket_component(gens.s_d(1), gens.s_d(2))
+        .equals(gens.s_d(3).scale(1)))
+    add("Q4 residue",
+        lambda: gens.Q4().residue(3).equals(
+            RationalFunction.from_json_dict(
+                {"arity": 4, "num": [[1, 1, [0, 0, 0, 0]]],
+                 "den": [[1, 0], [2, 0], [4, 0]]})))
+    add("psi0 depth 2",
+        lambda: gens.psi_zero_component(2).equals(
+            parse("2/(x1*x2)", arity=2).scale(QQ(1, 3))
+            + parse("1/(x1*(x1-x2))", arity=2).scale(QQ(1, 3))))
+    add("psi-1 depth 2",
+        lambda: gens.psi_minus_one_component(2).equals(
+            parse("1/(x1*x2*x2)", arity=2)
+            - parse("1/(x1*(x2-x1)*x2)", arity=2).scale(QQ(1, 2))))
+    add("sigma5 coefficients",
+        lambda: anatomy.solve_sigma(5, 4).terms
+        == {(5,): QQ(1), (-1, -1, 7): QQ(-1, 60), (3, 3, -1): QQ(-1, 5)})
+    add("sigma9 word (5,2,2)",
+        lambda: anatomy.coefficient_of_word(
+            anatomy.evaluate(anatomy.solve_sigma(9, 4), 3), (5, 2, 2))
+        == QQ(-3319, 72))
+    return checks
 
 
 class TestGoldenCorpus:

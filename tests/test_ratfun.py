@@ -4,8 +4,8 @@ from hypothesis import assume, given, settings, strategies as st
 from dshuffle.rationals import QQ
 from dshuffle.ratfun import (ArityMismatch, ParseError, PoleOrderError,
                              Polynomial, RationalFunction, _DivisibilityTester,
-                             form_normalize, linear_form, parse, rf_sum_a,
-                             var_vector)
+                             coefficient_rows, form_normalize, linear_form,
+                             parse, rf_sum_a, var_vector)
 from dshuffle.gens import psi_zero_component, s_d
 
 from conftest import make_rng, mono, random_rf
@@ -216,6 +216,40 @@ class TestKernelOracles:
         product = q.mul_form(f)
         assert _DivisibilityTester(product).may_divide(f)
         assert product.divide_form(f) == q
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_coefficient_rows_clear_the_sum(self, data):
+        arity = data.draw(st.integers(1, 3))
+        values = data.draw(st.lists(rational_functions(arity), min_size=1,
+                                    max_size=4))
+        c = [data.draw(small_rat) for _ in values]
+        if data.draw(st.booleans()):
+            # minus the sum so far: the total then vanishes
+            values.append(-rf_sum_a(arity, [v.scale(ci)
+                                            for v, ci in zip(values, c)]))
+            c.append(QQ(1))
+        rows = coefficient_rows(values)
+        dots = [sum((a * ci for a, ci in zip(row, c)), QQ(0))
+                for row in rows]
+        total = rf_sum_a(arity, [v.scale(ci) for v, ci in zip(values, c)])
+        assert total.is_zero() == all(x == 0 for x in dots)
+        # the common denominator multiplied out labels the rows
+        common = {}
+        for v in values:
+            for f, k in v.den.items():
+                common[f] = max(common.get(f, 0), k)
+        den = Polynomial.const(arity, 1)
+        for f, k in common.items():
+            for _ in range(k):
+                den = den.mul_form(f)
+        cleared = [v * RationalFunction.from_poly(den) for v in values]
+        assert all(x.is_polynomial() for x in cleared)
+        monos = sorted({m for x in cleared for m in x.num.terms})
+        assert len(rows) == len(monos)
+        numerator = Polynomial(arity, {m: x for m, x in zip(monos, dots)
+                                       if x})
+        assert numerator == (total * RationalFunction.from_poly(den)).num
 
     def test_division_by_non_monic_pivot(self):
         # 2*x2 - x1 has pivot coefficient 2
