@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from .rationals import QQ, ZERO, rat_str
 from .ratfun import RationalFunction, coefficient_rows
 from .series import DepthSeries, series_ihara_bracket
-from .gens import chi as chi_gen
-from .gens import psi_minus_one, psi_odd, psi_zero, Q4
+from .gens import Q4, generator
 from .resflt import R
 from . import linalg
 
@@ -55,23 +54,23 @@ class BracketExpression:
             parts.append("%s * %s[%s]" % (rat_str(c), self.basis, name))
         return " + ".join(parts) if parts else "0"
 
+    @classmethod
+    def _solved(cls, weight, words, sol, basis, kernel_dim):
+        """The leading word (weight,) at coefficient one plus each word
+        whose solved coefficient is nonzero."""
+        terms = {(weight,): QQ(1)}
+        for w, c in zip(words, sol):
+            if c != 0:
+                terms[w] = c
+        return cls(terms, weight, basis, kernel_dim)
+
 
 from functools import lru_cache
 
 
 @lru_cache(maxsize=None)
 def generator_series(weight, max_depth, basis="psi"):
-    if basis == "psi":
-        if weight == -1:
-            return psi_minus_one(max_depth)
-        if weight == 0:
-            return psi_zero(max_depth)
-        if weight >= 3 and weight % 2 == 1:
-            return psi_odd((weight - 1) // 2, max_depth)
-        raise ValueError("no generator of weight %d" % weight)
-    if basis == "chi":
-        return chi_gen(weight, max_depth)
-    raise ValueError("unknown basis %r" % basis)
+    return generator("%s%d" % (basis, weight), max_depth)
 
 
 @lru_cache(maxsize=None)
@@ -150,6 +149,10 @@ def solve_sigma(weight, depth_bound, basis="psi"):
     """
     if weight % 2 == 0 or weight < 3:
         raise SolveError("weight must be odd and >= 3")
+    if depth_bound < 2:
+        # the first residue conditions sit in depth 2
+        raise SolveError("depth bound must be at least 2, got %d"
+                         % depth_bound)
     n = (weight - 1) // 2
     if depth_bound > 2 * n:
         raise SolveError("depth bound %d beyond the solvable range %d"
@@ -166,12 +169,7 @@ def solve_sigma(weight, depth_bound, basis="psi"):
             raise SolveError("residue conditions are inconsistent")
     else:
         sol, kernel_dim = [ZERO] * len(words), len(words)
-    terms = {(weight,): QQ(1)}
-    for w, c in zip(words, sol):
-        if c != 0:
-            terms[w] = c
-    return BracketExpression(terms, weight, basis=basis,
-                             kernel_dim=kernel_dim)
+    return BracketExpression._solved(weight, words, sol, basis, kernel_dim)
 
 
 def chi_q4_decomposition(weight):
@@ -201,13 +199,9 @@ def chi_q4_decomposition(weight):
     sol, kernel_dim, consistent = linalg.solve_affine(rows, rhs)
     if not consistent:
         raise SolveError("residue conditions are inconsistent")
-    terms = {(weight,): QQ(1)}
-    for w, c in zip(words, sol[:-1]):
-        if c != 0:
-            terms[w] = c
-    expr = BracketExpression(terms, weight, basis="chi",
-                             kernel_dim=kernel_dim)
-    return expr, sol[-1]
+    # the last unknown is the Q4 coefficient, which zip leaves out
+    return (BracketExpression._solved(weight, words, sol, "chi", kernel_dim),
+            sol[-1])
 
 
 def coefficient_of_word(series, word):

@@ -63,14 +63,11 @@ GENERATOR_HELP = ("generator name: psi-1, psi0, psi3, psi5, .., chi-1, "
 def cmd_gen(args):
     if args.kind in ("psi", "chi"):
         _require_at_least("--depth", args.depth, 1)
-    if args.kind == "psi":
-        series = gens.generator("psi%d" % args.weight, args.depth)
-    elif args.kind == "chi":
-        series = gens.generator("chi%d" % args.weight, args.depth)
+        series = gens.generator("%s%d" % (args.kind, args.weight), args.depth)
     elif args.kind == "sd":
-        _require_at_least("--d", args.d, 1)
         series = gens.generator("sd:%d" % args.d, args.d)
     elif args.kind == "vine":
+        _require_at_least("--n", args.n, 1)
         vines = gens.enumerate_vines(args.n)
         if args.format == "json":
             data = [{"composition": list(v.composition),
@@ -127,6 +124,7 @@ def cmd_bracket(args):
 
 
 def cmd_res(args):
+    _require_at_least("--iterate", args.iterate, 0)
     series = _load_series(args.element)
     comp = series.component(args.depth)
     out = resflt.iterated_R(comp, args.iterate)

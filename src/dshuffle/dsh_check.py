@@ -53,27 +53,29 @@ def sharp_eval(f, word):
         acc = list(acc)
         acc[idx] += 1
         images.append(tuple(acc))
-    injective = len(set(word)) == len(word)
-    return f.substitute_affine(images, n, renormalize=not injective)
+    return f.substitute_affine(images, n)
 
 
 def perm_eval(f, word, target_arity=None):
     """f evaluated at permuted variables x_(w1), .., x_(wr)."""
     n = target_arity if target_arity is not None else f.arity
-    images = [var_vector(n, idx) for idx in word]
-    injective = len(set(word)) == len(word)
-    return f.substitute_affine(images, n, renormalize=not injective)
+    return f.substitute_affine([var_vector(n, idx) for idx in word], n)
 
 
-def check_shuffle(f, p, q):
-    """(p,q) shuffle equation: sum over shuffles of the sharp evaluation."""
+def _shuffle_sum(f, p, q, evaluate):
+    """Sum of evaluate(f, w) over the shuffles w of (1..p) and (p+1..p+q)."""
     n = f.arity
     if p + q != n:
         raise ValueError("need p + q = arity")
     u = tuple(range(1, p + 1))
     v = tuple(range(p + 1, n + 1))
-    parts = [sharp_eval(f, w) for w in shuffle(u, v)]
-    return EquationReport.from_residual("shuffle", (p, q), rf_sum_a(n, parts))
+    return rf_sum_a(n, [evaluate(f, w) for w in shuffle(u, v)])
+
+
+def check_shuffle(f, p, q):
+    """(p,q) shuffle equation: sum over shuffles of the sharp evaluation."""
+    return EquationReport.from_residual("shuffle", (p, q),
+                                        _shuffle_sum(f, p, q, sharp_eval))
 
 
 def _stuffle_term_eval(series, term, arity):
@@ -86,7 +88,7 @@ def _stuffle_term_eval(series, term, arity):
     for mask in range(1 << len(merged)):
         word = list(term)
         sign = 1
-        den = {}
+        den = []
         for bit, pos in enumerate(merged):
             lo, hi = term[pos]
             # divided difference (F(x_hi) - F(x_lo)) / (x_hi - x_lo)
@@ -95,8 +97,7 @@ def _stuffle_term_eval(series, term, arity):
                 sign = -sign
             else:
                 word[pos] = hi
-            fm = linear_form(hi, lo, arity)
-            den[fm] = den.get(fm, 0) + 1
+            den.append(linear_form(hi, lo, arity))
         value = perm_eval(comp, word, arity)
         coeff = RationalFunction.from_num_den(
             Polynomial.const(arity, sign), den)
@@ -120,15 +121,10 @@ def check_stuffle(series, p, q):
 def check_linearized(f, p, q, sharp):
     """(p,q) linearized equation, with or without the sharp change of
     variables."""
-    n = f.arity
-    if p + q != n:
-        raise ValueError("need p + q = arity")
-    u = tuple(range(1, p + 1))
-    v = tuple(range(p + 1, n + 1))
     evaluate = sharp_eval if sharp else perm_eval
-    parts = [evaluate(f, w) for w in shuffle(u, v)]
     family = "lin_shuffle" if sharp else "lin_stuffle"
-    return EquationReport.from_residual(family, (p, q), rf_sum_a(n, parts))
+    return EquationReport.from_residual(family, (p, q),
+                                        _shuffle_sum(f, p, q, evaluate))
 
 
 def check_lambda_form(f, sharp):
@@ -159,12 +155,10 @@ def check_dihedral(f):
     return report
 
 
-def check_parity(depth, degree, nullspace_fn=None):
+def check_parity(depth, degree):
     """No nonzero polynomial solutions at odd homogeneous degree."""
-    if nullspace_fn is None:
-        from .modforms import lin_ds_nullspace
-        nullspace_fn = lin_ds_nullspace
-    basis = nullspace_fn(depth, degree + depth)
+    from .modforms import lin_ds_nullspace
+    basis = lin_ds_nullspace(depth, degree + depth)
     if basis:
         residual = basis[0]
         passed = degree % 2 == 0
@@ -178,7 +172,7 @@ def _signed_reversal(f):
     """(-1)^d f(-x_d, .., -x_1), the series-level conjugate component."""
     d = f.arity
     images = [var_vector(d, d + 1 - j, negate=True) for j in range(1, d + 1)]
-    out = f.substitute_affine(images, d, renormalize=False)
+    out = f.substitute_affine(images, d)
     return out if d % 2 == 0 else -out
 
 
@@ -225,7 +219,7 @@ def is_in_pdmr(series, max_depth):
             for r in check_pair(series, p, q)]
 
 
-def is_in_pls(f, check_poles=True):
+def is_in_pls(f):
     """Linearized double shuffle plus the consecutive-pole condition."""
     reports = []
     n = f.arity
@@ -238,16 +232,13 @@ def is_in_pls(f, check_poles=True):
         odd = RationalFunction(
             1, _odd_part(f.num), dict(f.den))
         reports.append(EquationReport.from_residual("parity", (1,), odd))
-    if check_poles:
-        bar = Polynomial.const(n, 1)
-        for form, k in c_n(n).den.items():
-            for _ in range(k):
-                bar = bar.mul_form(form)
-        cleared = f * RationalFunction.from_poly(bar)
-        residual = cleared if not cleared.is_polynomial() \
-            else RationalFunction.zero(n)
-        reports.append(EquationReport("pole_shape", (n,), residual,
-                                      cleared.is_polynomial()))
+    bar = Polynomial.const(n, 1).mul_forms(
+        form for form, k in c_n(n).den.items() for _ in range(k))
+    cleared = f * RationalFunction.from_poly(bar)
+    residual = cleared if not cleared.is_polynomial() \
+        else RationalFunction.zero(n)
+    reports.append(EquationReport("pole_shape", (n,), residual,
+                                  cleared.is_polynomial()))
     return reports
 
 

@@ -11,10 +11,11 @@ chi family, and the sporadic elements z_3, Q_4, c_n.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from .rationals import QQ
-from .ratfun import (Polynomial, RationalFunction, linear_form, rf_sum_a,
-                     var_vector)
+from .ratfun import (Polynomial, RationalFunction, diff_vector, linear_form,
+                     rf_sum_a, var_vector)
 from .series import (DepthSeries, ihara_bracket_component, series_stuffle,
                      tau)
 
@@ -25,31 +26,24 @@ from .series import (DepthSeries, ihara_bracket_component, series_stuffle,
 
 def x_AB_poly(A, B, arity):
     """The polynomial prod over a in A, b in B of (x_a - x_b), x_0 = 0."""
-    p = Polynomial.const(arity, 1)
+    forms = []
     for a in A:
         for b in B:
             if a == b:
                 raise ValueError("vanishing factor x%d - x%d" % (a, b))
-            form = [0] * (arity + 1)
-            if a:
-                form[a] += 1
-            if b:
-                form[b] -= 1
-            p = p.mul_form(tuple(form))
-    return p
+            forms.append(diff_vector(arity, a, b))
+    return Polynomial.const(arity, 1).mul_forms(forms)
 
 
 def x_AB_inverse(A, B, arity, num=None):
     """num / x_{A,B} as a normalized rational function."""
     sign = 1
-    den = {}
+    den = []
     for a in A:
         for b in B:
-            hi, lo = (a, b) if a > b else (b, a)
             if a < b:
                 sign = -sign
-            f = linear_form(hi, lo, arity)
-            den[f] = den.get(f, 0) + 1
+            den.append(linear_form(max(a, b), min(a, b), arity))
     if num is None:
         num = Polynomial.const(arity, 1)
     if sign < 0:
@@ -59,15 +53,7 @@ def x_AB_inverse(A, B, arity, num=None):
 
 def _diff_power(arity, i, j, n):
     """(x_i - x_j)^n as a polynomial, with x_0 = 0."""
-    form = [0] * (arity + 1)
-    if i:
-        form[i] += 1
-    if j:
-        form[j] -= 1
-    p = Polynomial.const(arity, 1)
-    for _ in range(n):
-        p = p.mul_form(tuple(form))
-    return p
+    return Polynomial.const(arity, 1).mul_forms([diff_vector(arity, i, j)] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -186,36 +172,20 @@ def enumerate_vines(n):
 def vine_poly(v):
     """x_T, the product of (x_j - x_i) over tree edges."""
     n = v.grapes
-    p = Polynomial.const(n, 1)
-    for i, j in v.edges():
-        form = [0] * (n + 1)
-        form[j] += 1
-        if i:
-            form[i] -= 1
-        p = p.mul_form(tuple(form))
-    return p
+    return Polynomial.const(n, 1).mul_forms(diff_vector(n, j, i)
+                                            for i, j in v.edges())
 
 
 def vine_rat(v):
     """p_v = 1 / x_T."""
     n = v.grapes
-    den = {}
-    for i, j in v.edges():
-        f = linear_form(j, i, n)
-        den[f] = den.get(f, 0) + 1
-    return RationalFunction.from_num_den(Polynomial.const(n, 1), den)
+    return RationalFunction.from_num_den(
+        Polynomial.const(n, 1), [linear_form(j, i, n) for i, j in v.edges()])
 
 
 def _vine_rat_over_xd(v):
     """1 / (x_v x_d)."""
-    n = v.grapes
-    den = {}
-    for i, j in v.edges():
-        f = linear_form(j, i, n)
-        den[f] = den.get(f, 0) + 1
-    f = linear_form(n, 0, n)
-    den[f] = den.get(f, 0) + 1
-    return RationalFunction.from_num_den(Polynomial.const(n, 1), den)
+    return vine_rat(v).divide_form_exact(linear_form(v.grapes, 0, v.grapes))
 
 
 @lru_cache(maxsize=None)
@@ -315,68 +285,50 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def lift_tilde(f, max_depth):
-    """Interval-partition lift splitting the depth filtration at f's depth."""
+def _lift(f, max_depth, marked):
+    """Sum over the splittings of x_1..x_d into f.arity consecutive blocks
+    of f at one mark per block times the blocks' coefficients.  Unmarked,
+    the mark is the block's first slot with coefficient 1/prod (x_j - x_mark);
+    marked, every slot is a mark with coefficient
+    (-1)^(slots before the mark) / (block length * prod |x_j - x_mark|)."""
     s = f.arity
     comps = {}
     for d in range(s, max_depth + 1):
         parts = []
         for comp in _compositions(d, s):
-            starts = []
+            choices = []
             pos = 1
-            den = {}
             for m in comp:
-                starts.append(pos)
-                for j in range(pos + 1, pos + m):
-                    form = linear_form(j, pos, d)
-                    den[form] = den.get(form, 0) + 1
+                block = range(pos, pos + m)
+                options = []
+                for mark in (block if marked else block[:1]):
+                    scalar = QQ((-1) ** (mark - pos), m) if marked else QQ(1)
+                    options.append((mark, scalar, [
+                        linear_form(max(j, mark), min(j, mark), d)
+                        for j in block if j != mark]))
+                choices.append(options)
                 pos += m
-            images = [var_vector(d, i) for i in starts]
-            term = f.substitute_affine(images, d)
-            parts.append(term * RationalFunction.from_num_den(
-                Polynomial.const(d, 1), den))
+            for choice in product(*choices):
+                scalar, den = QQ(1), []
+                for _, c, forms in choice:
+                    scalar *= c
+                    den += forms
+                term = f.substitute_affine(
+                    [var_vector(d, mark) for mark, _, _ in choice], d)
+                parts.append(term * RationalFunction.from_num_den(
+                    Polynomial.const(d, scalar), den))
         comps[d] = rf_sum_a(d, parts)
-    w = f.weight()
-    return DepthSeries(comps, max_depth,
-                       weight=w if w is not None else None)
+    return DepthSeries(comps, max_depth, weight=f.weight())
+
+
+def lift_tilde(f, max_depth):
+    """Interval-partition lift splitting the depth filtration at f's depth."""
+    return _lift(f, max_depth, marked=False)
 
 
 def lift_ell(f, max_depth):
     """Marked-interval lift; the depth-1 case is the classical one."""
-    s = f.arity
-    comps = {}
-    for d in range(s, max_depth + 1):
-        parts = []
-        for comp in _compositions(d, s):
-            blocks = []
-            pos = 1
-            for m in comp:
-                blocks.append(list(range(pos, pos + m)))
-                pos += m
-            def rec(k, marks, coeff_den):
-                if k == len(blocks):
-                    images = [var_vector(d, i) for i in marks]
-                    term = f.substitute_affine(images, d)
-                    parts.append(term * coeff_den)
-                    return
-                block = blocks[k]
-                for mark in block:
-                    den = {}
-                    for j in block:
-                        if j == mark:
-                            continue
-                        hi, lo = (j, mark) if j > mark else (mark, j)
-                        form = linear_form(hi, lo, d)
-                        den[form] = den.get(form, 0) + 1
-                    sign = (-1) ** sum(1 for j in block if j < mark)
-                    piece = RationalFunction.from_num_den(
-                        Polynomial.const(d, QQ(sign, len(block))), den)
-                    rec(k + 1, marks + [mark], coeff_den * piece)
-            rec(0, [], RationalFunction.const(d, 1))
-        comps[d] = rf_sum_a(d, parts)
-    w = f.weight()
-    return DepthSeries(comps, max_depth,
-                       weight=w if w is not None else None)
+    return _lift(f, max_depth, marked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +337,9 @@ def lift_ell(f, max_depth):
 
 def nu_series(max_depth):
     """Components 1/(r x_1..x_r)."""
-    comps = {}
-    for r in range(1, max_depth + 1):
-        den = {linear_form(i, 0, r): 1 for i in range(1, r + 1)}
-        comps[r] = RationalFunction.from_num_den(
-            Polynomial.const(r, QQ(1, r)), den)
-    return DepthSeries(comps, max_depth, weight=0)
+    return DepthSeries({r: f.scale(QQ(1, r)) for r, f
+                        in mu_plus(max_depth).components.items()},
+                       max_depth, weight=0)
 
 
 def mu_plus(max_depth):
@@ -497,12 +446,10 @@ def Q4():
     for shift in range(5):
         def y(i):
             return ((i + shift) % 5) + 1
-        den = {}
+        den = []
         sign = -1
         for hi, lo in ((y(1), y(0)), (y(3), y(2)), (y(3), y(0)), (y(4), y(0))):
-            a, b = max(hi, lo), min(hi, lo)
-            f = linear_form(a, b, 5)
-            den[f] = den.get(f, 0) + 1
+            den.append(linear_form(max(hi, lo), min(hi, lo), 5))
             if hi < lo:
                 sign = -sign
         parts.append(RationalFunction.from_num_den(
@@ -514,12 +461,9 @@ def Q4():
 
 def c_n(n):
     """1/(x_1 (x_2-x_1) .. (x_n-x_(n-1)) x_n)."""
-    den = {linear_form(1, 0, n): 1}
-    for i in range(2, n + 1):
-        f = linear_form(i, i - 1, n)
-        den[f] = den.get(f, 0) + 1
-    f = linear_form(n, 0, n)
-    den[f] = den.get(f, 0) + 1
+    den = ([linear_form(1, 0, n)]
+           + [linear_form(i, i - 1, n) for i in range(2, n + 1)]
+           + [linear_form(n, 0, n)])
     return RationalFunction.from_num_den(Polynomial.const(n, 1), den)
 
 
@@ -551,6 +495,8 @@ def generator(name, max_depth):
                                   max_depth, weight=n + 1)
     if name.startswith("sd:"):
         d = int(name.split(":")[1])
+        if d < 1:
+            raise ValueError("sd:D needs D >= 1, got %d" % d)
         return DepthSeries.single(s_d(d), max_depth, weight=0)
     if name == "z3":
         return DepthSeries.single(z3(), max_depth, weight=3)

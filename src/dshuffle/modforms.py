@@ -127,11 +127,11 @@ def _three_term_rows(monomials):
     return coefficient_rows(sym) + coefficient_rows(rel)
 
 
-def period_space(weight, parity, primitive=True):
+def period_space(weight, parity):
     """Basis of the period-polynomial space of the given modular weight.
 
-    parity 'even' or 'odd'; primitive means the even space with the value
-    at (1, 0) removed (the cusp-form avatar).
+    parity 'even' or 'odd'; the even space is the primitive one, with the
+    value at (1, 0) removed (the cusp-form avatar).
     """
     if weight % 2 or weight < 4:
         return []
@@ -140,7 +140,7 @@ def period_space(weight, parity, primitive=True):
     if not monomials:
         return []
     matrix = _three_term_rows(monomials)
-    if parity == "even" and primitive:
+    if parity == "even":
         matrix.append([QQ(1) if b == 0 else ZERO for (a, b) in monomials])
     basis = linalg.nullspace(matrix, len(monomials))
     out = []
@@ -212,7 +212,11 @@ def _monomials(arity, degree):
     return out
 
 
-def lin_ds_nullspace(depth, weight, allow_poles=False, ansatz_cap=20000):
+# largest monomial ansatz lin_ds_nullspace accepts
+_ANSATZ_CAP = 20000
+
+
+def lin_ds_nullspace(depth, weight, allow_poles=False):
     """Exact basis of linearized double shuffle solutions.
 
     allow_poles=False solves over polynomials of degree weight - depth;
@@ -228,7 +232,7 @@ def lin_ds_nullspace(depth, weight, allow_poles=False, ansatz_cap=20000):
     monomials = _monomials(depth, num_degree)
     if not monomials:
         return []
-    if len(monomials) > ansatz_cap:
+    if len(monomials) > _ANSATZ_CAP:
         raise ValueError("ansatz of %d monomials exceeds the cap"
                          % len(monomials))
     basis_fns = [RationalFunction.from_num_den(

@@ -26,6 +26,17 @@ Kernels:
     slots, terms that land on one monomial are merged and a monomial that
     uses a zero image is dropped.  Any other images run a Horner scheme
     over the source variables whose every step is Polynomial.mul_form.
+  * A substituted value is normalized again (its numerator divided by
+    each denominator form that divides it) only when the images' linear
+    parts are dependent, e.g. x_a -> x_b, a zero image or a repeated letter.
+    Independent images make the substitution an embedding of polynomial
+    rings after an affine change of coordinates: non-proportional forms
+    stay non-proportional, and a substituted form divides the substituted
+    numerator only if the form divided the numerator, so a normalized
+    value stays normalized.  Independence is decided exactly by
+    fraction-free integer elimination; an image with a non-integral
+    coefficient counts as dependent, since normalizing again is always
+    safe.
   * Divisibility by a form is pretested by evaluating the numerator modulo
     the prime p = 2^61 - 1 at a fixed point of the form's hyperplane.  If
     the form divides the numerator, the value is zero mod p, so a nonzero
@@ -39,7 +50,7 @@ from __future__ import annotations
 
 import json
 import re
-from math import gcd
+from math import factorial, gcd
 
 from .rationals import QQ, ZERO, ONE, rat, rat_str, rat_from_str, as_int_pair
 
@@ -80,10 +91,6 @@ class Polynomial:
         self.terms = terms if terms is not None else {}
 
     # -- constructors
-
-    @classmethod
-    def zero(cls, arity):
-        return cls(arity)
 
     @classmethod
     def const(cls, arity, c):
@@ -155,15 +162,7 @@ class Polynomial:
         return Polynomial(self.arity, terms)
 
     def __sub__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, ZERO) - c
-            if s == 0:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return Polynomial(self.arity, terms)
+        return self + (-other)
 
     def __neg__(self):
         return Polynomial(self.arity, {m: -c for m, c in self.terms.items()})
@@ -222,6 +221,13 @@ class Polynomial:
                 else:
                     del out[mm]
         return Polynomial(self.arity, out)
+
+    def mul_forms(self, forms):
+        """Multiply by each affine form of an iterable in turn."""
+        p = self
+        for form in forms:
+            p = p.mul_form(form)
+        return p
 
     def derivative(self, i):
         """Partial derivative with respect to x_i (1-based)."""
@@ -508,14 +514,6 @@ def form_substitute(form, images, target_arity):
     return form_normalize(out)
 
 
-def affine_vector(arity, const=0, **coeffs):
-    """Convenience constructor: affine_vector(3, x1=1, x2=-1)."""
-    vec = [rat(const)] + [ZERO] * arity
-    for name, c in coeffs.items():
-        vec[int(name[1:])] = rat(c)
-    return tuple(vec)
-
-
 def var_vector(arity, i, negate=False):
     vec = [ZERO] * (arity + 1)
     if i:
@@ -568,17 +566,7 @@ class RationalFunction:
     def _normalized(cls, arity, num, counts):
         if num.is_zero():
             return cls(arity, num, {})
-        tester = _DivisibilityTester(num)
-        for f in sorted(counts):
-            while counts.get(f, 0) > 0:
-                q = num.divide_form(f, tester)
-                if q is None:
-                    break
-                num = q
-                tester = _DivisibilityTester(num)
-                counts[f] -= 1
-                if num.is_zero():
-                    return cls(arity, num, {})
+        num = _cancel(num, counts)
         return cls(arity, num, {f: k for f, k in counts.items() if k > 0})
 
     # -- constructors
@@ -649,7 +637,7 @@ class RationalFunction:
 
     def __add__(self, other):
         self._check(other)
-        return rf_sum([self, other])
+        return rf_sum_a(self.arity, [self, other])
 
     def __sub__(self, other):
         return self + (-other)
@@ -668,34 +656,19 @@ class RationalFunction:
         # a form divides the product numerator iff it divides one factor
         # (linear forms cut irreducible hyperplanes), so cancellation can be
         # settled factor by factor before multiplying
-        f_num, g_num = self.num, other.num
+        if self.is_zero() or other.is_zero():
+            return RationalFunction.zero(self.arity)
         counts = dict(self.den)
         for f, k in other.den.items():
             counts[f] = counts.get(f, 0) + k
-        if f_num.is_zero() or g_num.is_zero():
-            return RationalFunction.zero(self.arity)
-        f_test = _DivisibilityTester(f_num)
-        g_test = _DivisibilityTester(g_num)
-        for f in sorted(counts):
-            while counts[f] > 0:
-                q = f_num.divide_form(f, f_test)
-                if q is not None:
-                    f_num, f_test = q, _DivisibilityTester(q)
-                    counts[f] -= 1
-                    continue
-                q = g_num.divide_form(f, g_test)
-                if q is not None:
-                    g_num, g_test = q, _DivisibilityTester(q)
-                    counts[f] -= 1
-                    continue
-                break
-        return RationalFunction(self.arity, f_num * g_num,
+        num = _cancel(self.num, counts) * _cancel(other.num, counts)
+        return RationalFunction(self.arity, num,
                                 {f: k for f, k in counts.items() if k > 0})
 
-    def divide_form_exact(self, form, power=1):
-        """Divide by form^power (adds to the denominator, then normalizes)."""
+    def divide_form_exact(self, form):
+        """Divide by the form (adds to the denominator, then normalizes)."""
         counts = dict(self.den)
-        counts[form] = counts.get(form, 0) + power
+        counts[form] = counts.get(form, 0) + 1
         return RationalFunction._normalized(self.arity, self.num, counts)
 
     def equals(self, other):
@@ -755,17 +728,12 @@ class RationalFunction:
         m = self.den.get(form, 0)
         if m == 0:
             return RationalFunction.zero(self.arity)
-        if m == 1:
-            return self.residue(a, b)
         counts = dict(self.den)
         counts[form] = 0
         cleared = RationalFunction._normalized(self.arity, self.num, counts)
         for _ in range(m - 1):
             cleared = cleared.partial(a)
-        fact = 1
-        for k in range(2, m):
-            fact *= k
-        return cleared.residue_free_subs(a, b).scale(QQ(1, fact))
+        return cleared.residue_free_subs(a, b).scale(QQ(1, factorial(m - 1)))
 
     def laurent_coefficient_order2(self, a, b=0):
         """Coefficient of the order-2 pole along x_a = x_b.
@@ -795,13 +763,13 @@ class RationalFunction:
 
     # -- substitution
 
-    def substitute_affine(self, images, target_arity, renormalize=True):
+    def substitute_affine(self, images, target_arity):
         """Compose with x_i -> affine image (coefficient tuples).
 
         Denominator forms are re-derived by factoring the substituted
-        forms; a form substituting to zero raises PoleOrderError.
-        renormalize=False is sound only for injective affine images (the
-        substitution then preserves divisibility both ways).
+        forms; a form substituting to zero raises PoleOrderError.  The
+        result is normalized again unless the value has no denominator or
+        the images have independent linear parts (see the module docstring).
         """
         if len(images) != self.arity:
             raise ArityMismatch("need one affine image per variable")
@@ -817,11 +785,11 @@ class RationalFunction:
         num = self.num.substitute_affine(images, target_arity)
         if scalar != 1:
             num = num.scale(ONE / scalar)
-        if not renormalize:
-            if num.is_zero():
-                return RationalFunction.zero(target_arity)
-            return RationalFunction(target_arity, num, counts)
-        return RationalFunction._normalized(target_arity, num, counts)
+        if counts and not _independent(images):
+            return RationalFunction._normalized(target_arity, num, counts)
+        if num.is_zero():
+            return RationalFunction.zero(target_arity)
+        return RationalFunction(target_arity, num, counts)
 
     def drop_variable(self, i):
         """Remove an unused variable slot, renumbering higher slots down."""
@@ -907,11 +875,8 @@ class RationalFunction:
                 raise ParseError("exponent tuple of wrong length")
             terms[tuple(exps)] = QQ(p, q)
         num = Polynomial(arity, {m: c for m, c in terms.items() if c != 0})
-        den = {}
-        for a, b in data["den"]:
-            f = linear_form(a, b, arity)
-            den[f] = den.get(f, 0) + 1
-        return cls.from_num_den(num, den)
+        return cls.from_num_den(num, [linear_form(a, b, arity)
+                                      for a, b in data["den"]])
 
     @classmethod
     def from_json(cls, s):
@@ -1008,12 +973,38 @@ class _DivisibilityTester:
         return total == 0
 
 
-def rf_sum(values):
-    """Exact sum of rational functions over one common denominator."""
-    values = list(values)
-    if not values:
-        raise ValueError("rf_sum needs the arity; use rf_sum_a")
-    return rf_sum_a(values[0].arity, values)
+def _cancel(num, counts):
+    """Divide the nonzero num by each form of counts while the form
+    divides it, lowering counts in place; returns the quotient."""
+    tester = _DivisibilityTester(num)
+    for f in sorted(counts):
+        while counts[f] > 0:
+            q = num.divide_form(f, tester)
+            if q is None:
+                break
+            num, tester = q, _DivisibilityTester(q)
+            counts[f] -= 1
+    return num
+
+
+def _independent(images):
+    """Whether the linear parts of the images are linearly independent,
+    decided exactly by fraction-free elimination.  An image with a
+    non-integral coefficient counts as dependent."""
+    pivots = []
+    for img in images:
+        if any(c.denominator != 1 for c in img[1:]):
+            return False
+        row = [int(c) for c in img[1:]]
+        for col, prow in pivots:
+            if row[col]:
+                p, r = prow[col], row[col]
+                row = [p * a - r * b for a, b in zip(row, prow)]
+        col = next((j for j, c in enumerate(row) if c), None)
+        if col is None:
+            return False
+        pivots.append((col, row))
+    return True
 
 
 def _common_den(values):
@@ -1028,11 +1019,8 @@ def _common_den(values):
 
 def _over(v, common):
     """Numerator of v written over the common denominator."""
-    num = v.num
-    for f, k in common.items():
-        for _ in range(k - v.den.get(f, 0)):
-            num = num.mul_form(f)
-    return num
+    return v.num.mul_forms(f for f, k in common.items()
+                           for _ in range(k - v.den.get(f, 0)))
 
 
 def rf_sum_a(arity, values):
@@ -1231,7 +1219,7 @@ class _Parser:
             for idx, e in exps.items():
                 m[idx - 1] = e
             num = num + Polynomial.monomial(arity, tuple(m), coeff)
-        den = {}
+        den = []
         sign = ONE
         for a, b in pairs:
             if b and b > a:
@@ -1239,8 +1227,7 @@ class _Parser:
                 sign = -sign
             if a == b:
                 raise ParseError("zero denominator form")
-            f = linear_form(a, b, arity)
-            den[f] = den.get(f, 0) + 1
+            den.append(linear_form(a, b, arity))
         if sign != 1:
             num = num.scale(sign)
         return RationalFunction.from_num_den(num, den)

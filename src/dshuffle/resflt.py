@@ -133,12 +133,8 @@ def in_kernel(xi):
 
 
 def kernel_reports(xi):
-    reports = []
-    for d in sorted(xi.components):
-        res = R(xi.components[d])
-        reports.append(EquationReport.from_residual("total_residue", (d,),
-                                                    res))
-    return reports
+    return [EquationReport.from_residual("total_residue", (d,), res)
+            for d, res in sorted(total_residue(xi).items())]
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +272,8 @@ def multi_residue_check(f_d, f_low, i, j):
     images = ([var_vector(n, k) for k in range(1, j + 1)]
               + [var_vector(n, k - 1) for k in range(i + 1, d + 1)])
     res_low_embedded = res_low.substitute_affine(images, n)
-    den = {}
-    for k in range(j + 1, i):
-        form = linear_form(k, j, n)
-        den[form] = den.get(form, 0) + 1
-    factor = RationalFunction.from_num_den(Polynomial.const(n, 1), den)
+    factor = RationalFunction.from_num_den(
+        Polynomial.const(n, 1),
+        [linear_form(k, j, n) for k in range(j + 1, i)])
     rhs = res_low_embedded * factor
     return EquationReport.from_residual("multi_residue", (i, j), lhs - rhs)

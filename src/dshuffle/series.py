@@ -109,10 +109,8 @@ class DepthSeries:
                            self.max_depth, weight=self.weight,
                            const=self.const * c, complete=self.complete)
 
-    def equals(self, other, through_depth=None):
+    def equals(self, other):
         md = min(self.max_depth, other.max_depth)
-        if through_depth is not None:
-            md = min(md, through_depth)
         if self.const != other.const:
             return False
         return all(self.component(d).equals(other.component(d))
@@ -184,7 +182,7 @@ def unreduce(f):
     """
     r = f.arity
     images = [diff_vector(r + 1, i + 1, 1) for i in range(1, r + 1)]
-    return f.substitute_affine(images, r + 1, renormalize=False)
+    return f.substitute_affine(images, r + 1)
 
 
 def is_translation_invariant(f):
@@ -212,7 +210,7 @@ def shuffle_concat(f, g):
     if s == 0 or g.is_zero():
         return f.extended(n) if n > r else f
     images = [diff_vector(n, r + j, r if r else 0) for j in range(1, s + 1)]
-    return f.extended(n) * g.substitute_affine(images, n, renormalize=False)
+    return f.extended(n) * g.substitute_affine(images, n)
 
 
 def stuffle_concat(f, g):
@@ -222,27 +220,34 @@ def stuffle_concat(f, g):
     return f.extended(n) * g.extended(n, offset=p)
 
 
-def series_stuffle(f, g):
-    """Extension of the stuffle concatenation to depth series."""
+def _depthwise(f, g, product):
+    """The depth-d component is the sum over i + j = d of
+    product(f^(i), g^(j)); a scalar part acts by scaling."""
     md = _binary_max_depth(f, g)
     comps = {}
     for d in range(1, md + 1):
         parts = []
-        if f.const != 0:
-            parts.append(g.component(d).scale(f.const))
-        if g.const != 0:
-            parts.append(f.component(d).scale(g.const))
+        gd, fd = g.components.get(d), f.components.get(d)
+        if f.const != 0 and gd is not None:
+            parts.append(gd.scale(f.const))
+        if g.const != 0 and fd is not None:
+            parts.append(fd.scale(g.const))
         for i in range(1, d):
             fi = f.components.get(i)
             gj = g.components.get(d - i)
             if fi is not None and gj is not None:
-                parts.append(stuffle_concat(fi, gj))
+                parts.append(product(fi, gj))
         comps[d] = rf_sum_a(d, parts)
     w = None
     if f.weight is not None and g.weight is not None:
         w = f.weight + g.weight
     return DepthSeries(comps, md, weight=w, const=f.const * g.const,
                        complete=f.complete and g.complete)
+
+
+def series_stuffle(f, g):
+    """Extension of the stuffle concatenation to depth series."""
+    return _depthwise(f, g, stuffle_concat)
 
 
 def stuffle_exp(nu, max_depth):
@@ -273,14 +278,14 @@ def _ihara_action_homogeneous(f, g, deg_f):
         f_imgs = [diff_vector(n, i + k, i) for k in range(1, r + 1)]
         g_imgs = ([var_vector(n, j) for j in range(1, i + 1)]
                   + [var_vector(n, j) for j in range(i + r + 1, n + 1)])
-        parts.append(f.substitute_affine(f_imgs, n, renormalize=False)
-                     * g.substitute_affine(g_imgs, n, renormalize=False))
+        parts.append(f.substitute_affine(f_imgs, n)
+                     * g.substitute_affine(g_imgs, n))
     for i in range(1, s + 1):
         f_imgs = [diff_vector(n, i + r - k, i + r) for k in range(1, r + 1)]
         g_imgs = ([var_vector(n, j) for j in range(1, i)]
                   + [var_vector(n, j) for j in range(i + r, n + 1)])
-        parts.append((f.substitute_affine(f_imgs, n, renormalize=False)
-                      * g.substitute_affine(g_imgs, n, renormalize=False))
+        parts.append((f.substitute_affine(f_imgs, n)
+                      * g.substitute_affine(g_imgs, n))
                      .scale(sign))
     return rf_sum_a(n, parts)
 
@@ -304,23 +309,7 @@ def series_ihara_action(f, g):
     """Per-depth action: (f o g)^(d) = sum over i+j=d of f^(i) o g^(j)."""
     if f.const != 0:
         raise ValueError("left action of a scalar is not defined")
-    md = _binary_max_depth(f, g)
-    comps = {}
-    for d in range(1, md + 1):
-        parts = []
-        if g.const != 0 and d in f.components:
-            parts.append(f.components[d].scale(g.const))
-        for i in range(1, d):
-            fi = f.components.get(i)
-            gj = g.components.get(d - i)
-            if fi is not None and gj is not None:
-                parts.append(ihara_action_component(fi, gj))
-        comps[d] = rf_sum_a(d, parts)
-    w = None
-    if f.weight is not None and g.weight is not None:
-        w = f.weight + g.weight
-    return DepthSeries(comps, md, weight=w, const=ZERO,
-                       complete=f.complete and g.complete)
+    return _depthwise(f, g, ihara_action_component)
 
 
 def series_ihara_bracket(f, g):
@@ -335,7 +324,7 @@ def sigma(f):
     """Antipode involution: (-1)^r f(x_r-x_(r-1), .., x_r-x_1, x_r)."""
     r = f.arity
     images = [diff_vector(r, r, r - j) for j in range(1, r)] + [var_vector(r, r)]
-    out = f.substitute_affine(images, r, renormalize=False)
+    out = f.substitute_affine(images, r)
     return out if r % 2 == 0 else -out
 
 
@@ -343,7 +332,7 @@ def tau(f):
     """Stuffle reversal: (-1)^r f(x_r, .., x_1)."""
     r = f.arity
     images = [var_vector(r, r + 1 - j) for j in range(1, r + 1)]
-    out = f.substitute_affine(images, r, renormalize=False)
+    out = f.substitute_affine(images, r)
     return out if r % 2 == 0 else -out
 
 
@@ -372,10 +361,9 @@ def dihedral_bracket(f, g):
               for k in range(0, s + 1)]
         g2 = [var_vector(n + 1, ((i + r + 1 + k) % (n + 1)) + 1)
               for k in range(0, s + 1)]
-        fi = fy.substitute_affine(f_imgs, n + 1, renormalize=False)
-        parts.append(fi * gy.substitute_affine(g2, n + 1, renormalize=False))
-        parts.append(-(fi * gy.substitute_affine(g1, n + 1,
-                                                 renormalize=False)))
+        fi = fy.substitute_affine(f_imgs, n + 1)
+        parts.append(fi * gy.substitute_affine(g2, n + 1))
+        parts.append(-(fi * gy.substitute_affine(g1, n + 1)))
     return reduce_y(rf_sum_a(n + 1, parts))
 
 

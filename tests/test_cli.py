@@ -142,6 +142,37 @@ class TestContract:
                                 "--min-weight", "5", "--max-weight", "3")
         assert_usage_error(code, out, err)
 
+    def test_sd_generator_without_components(self, capsys):
+        for name in ("sd:0", "sd:-1"):
+            code, out, err = invoke(capsys, "verify", "--gen", name,
+                                    "--max-depth", "2")
+            assert_usage_error(code, out, err)
+            code, out, err = invoke(capsys, "bracket", "--f", name,
+                                    "--g", name, "--max-depth", "2")
+            assert_usage_error(code, out, err)
+
+    def test_gen_vine_without_grapes(self, capsys):
+        for n in ("0", "-2"):
+            code, out, err = invoke(capsys, "gen", "vine", "--n", n)
+            assert_usage_error(code, out, err)
+
+    def test_res_negative_iterate(self, capsys, tmp_path):
+        path = tmp_path / "element.json"
+        path.write_text(json.dumps(psi_odd(1, 2).to_json_dict()))
+        code, out, err = invoke(capsys, "res", "--element", str(path),
+                                "--depth", "2", "--iterate", "-1")
+        assert_usage_error(code, out, err)
+
+    def test_solve_below_depth_two(self, capsys):
+        # the first residue conditions sit in depth 2
+        for depth in ("1", "-3"):
+            code, out, err = invoke(capsys, "decompose", "--weight", "9",
+                                    "--max-depth", depth)
+            assert_usage_error(code, out, err)
+        code, out, err = invoke(capsys, "coeff", "--weight", "9",
+                                "--word", "5,2,2", "--max-depth", "0")
+        assert_usage_error(code, out, err)
+
 
 class TestDecompose:
     def test_sigma5(self, capsys):

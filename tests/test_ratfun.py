@@ -1,4 +1,5 @@
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from dshuffle.rationals import QQ
@@ -261,6 +262,131 @@ class TestKernelOracles:
         p = (1 << 61) - 1
         num = Polynomial(1, {(0,): QQ(1, p), (1,): QQ(1)})
         assert _DivisibilityTester(num).may_divide((1, 1))
+
+
+@st.composite
+def reducible_functions(draw, arity):
+    """Rational functions whose numerators carry difference forms, so that
+    products and sums have factors to cancel."""
+    pairs = [(a, b) for a in range(1, arity + 1) for b in range(a)]
+    forms = [linear_form(a, b, arity)
+             for a, b in draw(st.lists(st.sampled_from(pairs), max_size=2))]
+    den = [linear_form(a, b, arity)
+           for a, b in draw(st.lists(st.sampled_from(pairs), max_size=3))]
+    return RationalFunction.from_num_den(
+        draw(polynomials(arity)).mul_forms(forms), den)
+
+
+@st.composite
+def normalization_images(draw, arity):
+    """(target arity, images) of the families that decide whether a
+    substitution renormalizes."""
+    kind = draw(st.sampled_from(("permutation", "sharp", "collapse", "zero",
+                                 "dependent")))
+    identity = [var_vector(arity, j) for j in range(1, arity + 1)]
+    if kind == "permutation":
+        perm = draw(st.permutations(range(1, arity + 1)))
+        return arity, [var_vector(arity, j) for j in perm]
+    if kind == "sharp":
+        target = draw(st.integers(1, 3))
+        images, acc = [], [QQ(0)] * (target + 1)
+        for _ in range(arity):
+            acc = list(acc)
+            acc[draw(st.integers(1, target))] += 1
+            images.append(tuple(acc))
+        return target, images
+    a = draw(st.integers(1, arity))
+    if kind == "collapse":
+        assume(arity >= 2)
+        b = draw(st.sampled_from([j for j in range(1, arity + 1) if j != a]))
+        identity[a - 1] = var_vector(arity, b)
+        return arity, identity
+    if kind == "zero":
+        identity[a - 1] = var_vector(arity, 0)
+        return arity, identity
+    # two random images and a combination of them, all supports distinct
+    assume(arity == 3)
+    target = draw(st.integers(2, 3))
+    coeff = st.integers(-2, 2)
+    u, v = [(QQ(0),) + tuple(QQ(draw(coeff)) for _ in range(target))
+            for _ in range(2)]
+    s, t = draw(st.integers(1, 2)), draw(st.sampled_from((-1, 1)))
+    w = tuple(s * x + t * y for x, y in zip(u, v))
+    supports = {frozenset(j for j, c in enumerate(img) if c)
+                for img in (u, v, w)}
+    assume(len(supports) == 3)
+    return target, list(draw(st.permutations([u, v, w])))
+
+
+def _sympy_poly(p, xs):
+    return sum((sympy.Rational(int(c.numerator), int(c.denominator))
+                * sympy.prod([x ** e for x, e in zip(xs, m)])
+                for m, c in p.terms.items()), sympy.Integer(0))
+
+
+def assert_normalized(g):
+    """No denominator form divides the numerator (checked with sympy)."""
+    xs = sympy.symbols("x1:%d" % (g.arity + 1))
+    num = _sympy_poly(g.num, xs)
+    for f in g.den:
+        form = f[0] + sum(c * x for c, x in zip(f[1:], xs))
+        assert sympy.div(num, form, *xs)[1] != 0, (g, f)
+
+
+def assert_value(g, expected, point):
+    try:
+        value = expected(point)
+    except ZeroDivisionError:
+        return
+    assert g.evaluate(point) == value
+
+
+class TestNormalizationOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_product_and_sum(self, data):
+        arity = data.draw(st.integers(1, 3))
+        f = data.draw(reducible_functions(arity))
+        g = data.draw(reducible_functions(arity))
+        h = data.draw(reducible_functions(arity))
+        point = tuple(data.draw(point_rat) for _ in range(arity))
+        product = f * g
+        assert_normalized(product)
+        assert_value(product, lambda x: f.evaluate(x) * g.evaluate(x),
+                     point)
+        total = rf_sum_a(arity, [f, g.scale(-1), h])
+        assert_normalized(total)
+        assert_value(total, lambda x: f.evaluate(x) - g.evaluate(x)
+                     + h.evaluate(x), point)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_substitution(self, data):
+        arity = data.draw(st.integers(1, 3))
+        f = data.draw(reducible_functions(arity))
+        target, images = data.draw(normalization_images(arity))
+        try:
+            g = f.substitute_affine(images, target)
+        except PoleOrderError:
+            assume(False)
+        assert_normalized(g)
+        point = tuple(data.draw(point_rat) for _ in range(target))
+
+        def expected(y):
+            return f.evaluate(tuple(
+                img[0] + sum(img[j] * y[j - 1] for j in range(1, target + 1))
+                for img in images))
+        assert_value(g, expected, point)
+
+    def test_dependent_images_renormalize(self):
+        # x1/(x2+x3) under x1 -> y1+y2, x2 -> y2+y3, x3 -> y1-y3, where
+        # x1 = x2 + x3 holds for the images
+        f = RationalFunction.from_num_den(Polynomial.variable(3, 1),
+                                          [(0, 0, 1, 1)])
+        images = [(0, 1, 1, 0), (0, 0, 1, 1), (0, 1, 0, -1)]
+        g = f.substitute_affine(images, 3)
+        assert g.den == {}
+        assert g.num == Polynomial.const(3, 1)
 
 
 class TestResidue:
