@@ -124,15 +124,18 @@ def bracket_basis(weight, depth_bound):
     return words
 
 
-def _residue_conditions(columns, lead, residue_maps):
-    """Rows and right-hand side of sum c_i res(columns_i) = -res(lead),
-    one block per residue map res."""
+def _solve_residues(columns, lead, residue_maps):
+    """Coefficients c with sum c_i res(columns_i) = -res(lead) for every
+    residue map res, as (c, kernel_dim); SolveError when inconsistent."""
     rows, rhs = [], []
     for res in residue_maps:
         for row in coefficient_rows([res(s) for s in columns] + [res(lead)]):
             rows.append(row[:-1])
             rhs.append(-row[-1])
-    return rows, rhs
+    solved = linalg.solve_affine(rows, rhs, len(columns))
+    if solved is None:
+        raise SolveError("residue conditions are inconsistent")
+    return solved
 
 
 def _depth_residue(d):
@@ -159,16 +162,9 @@ def solve_sigma(weight, depth_bound, basis="psi"):
                          % (depth_bound, 2 * n))
     words = bracket_basis(weight, 3) if depth_bound >= 3 else []
     lead = generator_series(weight, depth_bound, basis)
-    word_series = [evaluate_word(w, depth_bound, basis) for w in words]
-    rows, rhs = _residue_conditions(
-        word_series, lead,
+    sol, kernel_dim = _solve_residues(
+        [evaluate_word(w, depth_bound, basis) for w in words], lead,
         [_depth_residue(d) for d in range(2, depth_bound + 1)])
-    if rows:
-        sol, kernel_dim, consistent = linalg.solve_affine(rows, rhs)
-        if not consistent:
-            raise SolveError("residue conditions are inconsistent")
-    else:
-        sol, kernel_dim = [ZERO] * len(words), len(words)
     return BracketExpression._solved(weight, words, sol, basis, kernel_dim)
 
 
@@ -191,14 +187,11 @@ def chi_q4_decomposition(weight):
     # at depth 5 only the residues along the inner divisors x_i = 0 are
     # used: length-5 words have the restricted pole shape and cannot
     # contribute there, so these conditions close over this basis
-    rows, rhs = _residue_conditions(
+    sol, kernel_dim = _solve_residues(
         word_series + [q4_word], lead,
         [_depth_residue(d) for d in range(2, 5)]
         + [lambda s, i=i: s.component(5).residue(i).drop_variable(i)
            for i in (2, 3, 4)])
-    sol, kernel_dim, consistent = linalg.solve_affine(rows, rhs)
-    if not consistent:
-        raise SolveError("residue conditions are inconsistent")
     # the last unknown is the Q4 coefficient, which zip leaves out
     return (BracketExpression._solved(weight, words, sol, "chi", kernel_dim),
             sol[-1])

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .rationals import rat_str
@@ -32,13 +31,6 @@ def emit(value, fmt):
     if hasattr(value, "text"):
         return value.text()
     return str(value)
-
-
-def _jobs_from_env():
-    try:
-        return max(1, int(os.environ.get("DSHUFFLE_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_series(path):
@@ -86,21 +78,11 @@ def cmd_gen(args):
     return 0
 
 
-def _verify_reports(series, max_depth, jobs):
-    if jobs <= 1:
-        return dsh_check.is_in_pdmr(series, max_depth)
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(dsh_check.check_pair, series, p, q)
-                   for p, q in dsh_check.pdmr_pairs(max_depth)]
-        return [r for f in futures for r in f.result()]
-
-
 def cmd_verify(args):
     # the first double shuffle equations sit in depth 2
     _require_at_least("--max-depth", args.max_depth, 2)
     series = gens.generator(args.gen, args.max_depth)
-    reports = _verify_reports(series, args.max_depth, _jobs_from_env())
+    reports = dsh_check.is_in_pdmr(series, args.max_depth)
     reports.sort(key=lambda r: (r.indices, r.family))
     if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports],

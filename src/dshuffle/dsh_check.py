@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rationals import ZERO
+from .rationals import QQ, ZERO
 from .ratfun import (Polynomial, RationalFunction, linear_form, rf_sum_a,
                      var_vector)
 from .series import sigma, tau
@@ -200,23 +200,15 @@ def check_six_term(series, d):
     return EquationReport.from_residual("six_term", (d,), residual)
 
 
-def pdmr_pairs(max_depth):
-    """The indices (p, q), p <= q, of the double shuffle families through
-    max_depth, by depth p + q."""
-    return [(p, n - p) for n in range(2, max_depth + 1)
-            for p in range(1, n // 2 + 1)]
-
-
-def check_pair(series, p, q):
-    """The (p,q) shuffle and stuffle reports of a depth series."""
-    return [check_shuffle(series.component(p + q), p, q),
-            check_stuffle(series, p, q)]
-
-
 def is_in_pdmr(series, max_depth):
-    """All (p,q) shuffle and stuffle families through max_depth."""
-    return [r for p, q in pdmr_pairs(max_depth)
-            for r in check_pair(series, p, q)]
+    """All (p,q) shuffle and stuffle families through max_depth, p <= q,
+    by depth p + q."""
+    reports = []
+    for n in range(2, max_depth + 1):
+        for p in range(1, n // 2 + 1):
+            reports.append(check_shuffle(series.component(n), p, n - p))
+            reports.append(check_stuffle(series, p, n - p))
+    return reports
 
 
 def is_in_pls(f):
@@ -228,10 +220,9 @@ def is_in_pls(f):
         reports.append(check_linearized(f, p, q, sharp=False))
         reports.append(check_linearized(f, p, q, sharp=True))
     if n == 1:
-        # depth-one evenness: only even powers of x1 are allowed
-        odd = RationalFunction(
-            1, _odd_part(f.num), dict(f.den))
-        reports.append(EquationReport.from_residual("parity", (1,), odd))
+        # depth-one evenness: only even functions of x1 are allowed
+        reports.append(EquationReport.from_residual("parity", (1,),
+                                                    odd_part(f)))
     bar = Polynomial.const(n, 1).mul_forms(
         form for form, k in c_n(n).den.items() for _ in range(k))
     cleared = f * RationalFunction.from_poly(bar)
@@ -242,9 +233,11 @@ def is_in_pls(f):
     return reports
 
 
-def _odd_part(p):
-    return Polynomial(p.arity, {m: c for m, c in p.terms.items()
-                                if sum(m) % 2 == 1})
+def odd_part(f):
+    """(f(x) - f(-x)) / 2, normalized."""
+    images = [var_vector(f.arity, i, negate=True)
+              for i in range(1, f.arity + 1)]
+    return (f - f.substitute_affine(images, f.arity)).scale(QQ(1, 2))
 
 
 def all_pass(reports):

@@ -56,22 +56,17 @@ def nullspace(matrix, n_cols):
     return basis
 
 
-def solve_affine(matrix, rhs):
-    """Solve M x = rhs exactly.
+def solve_affine(matrix, rhs, n_cols):
+    """Solve M x = rhs exactly as the kernel of the augmented [M | -rhs].
 
-    Returns (solution, kernel_dim, consistent).  When the system is
-    underdetermined, free coordinates are pinned to zero (deterministic
-    choice) and kernel_dim reports the ambiguity.
+    Returns (solution, kernel_dim), or None when the system is
+    inconsistent.  The augmented column is the last free column exactly
+    when the system is consistent; its basis vector is (x, 1) with the
+    other free coordinates pinned to zero (deterministic choice), and
+    kernel_dim counts those other free coordinates.
     """
-    if not matrix:
-        return [], 0, True
-    n_cols = len(matrix[0])
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    m, pivots = rref(aug)
-    pivots_in_cols = [p for p in pivots if p < n_cols]
-    consistent = n_cols not in pivots
-    sol = [ZERO] * n_cols
-    for r, pc in enumerate(pivots_in_cols):
-        sol[pc] = m[r][n_cols]
-    kernel_dim = n_cols - len(pivots_in_cols)
-    return sol, kernel_dim, consistent
+    basis = nullspace([list(row) + [-b] for row, b in zip(matrix, rhs)],
+                      n_cols + 1)
+    if not basis or not basis[-1][n_cols]:
+        return None
+    return basis[-1][:n_cols], len(basis) - 1

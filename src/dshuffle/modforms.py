@@ -9,11 +9,11 @@ against.
 
 from __future__ import annotations
 
-from .rationals import QQ, ZERO
+from .rationals import QQ
 from .ratfun import (Polynomial, RationalFunction, coefficient_rows,
                      diff_vector, linear_form, rf_sum_a, var_vector)
 from . import linalg
-from .dsh_check import check_linearized, perm_eval
+from .dsh_check import check_linearized, odd_part
 from .gens import c_n
 
 
@@ -80,6 +80,48 @@ def lie3_dimensions(gen_dims, bound):
 
 
 # ---------------------------------------------------------------------------
+# solution spaces of linear conditions
+
+
+def _monomials(arity, degree):
+    if degree < 0:
+        return []
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(prefix + (remaining,))
+            return
+        for e in range(remaining + 1):
+            rec(prefix + (e,), remaining - e, slots - 1)
+
+    rec((), degree, arity)
+    return out
+
+
+def _kernel(arity, monomials, conditions, den=()):
+    """Basis of the combinations of monomials / den that every condition
+    (a linear map from a value to its residual) sends to zero."""
+    ansatz = [RationalFunction.from_num_den(
+        Polynomial.monomial(arity, m, 1), dict(den)) for m in monomials]
+    rows = []
+    for condition in conditions:
+        rows.extend(coefficient_rows([condition(f) for f in ansatz]))
+    return [RationalFunction.from_num_den(
+                Polynomial(arity, {m: c for m, c in zip(monomials, vec)
+                                   if c != 0}), dict(den))
+            for vec in linalg.nullspace(rows, len(monomials))]
+
+
+# substitution images in two variables x = x1, y = x2; U is the order-three
+# element (x, y) -> (x - y, x) of PSL2(Z)
+_SWAP = (var_vector(2, 2), var_vector(2, 1))                   # (y, x)
+_U = (diff_vector(2, 1, 2), var_vector(2, 1))                  # (x - y, x)
+_U2 = (var_vector(2, 2, negate=True), diff_vector(2, 1, 2))    # (-y, x - y)
+_MINUS_U = (diff_vector(2, 2, 1), var_vector(2, 1, negate=True))  # (y - x, -x)
+
+
+# ---------------------------------------------------------------------------
 # period polynomials
 
 
@@ -100,54 +142,27 @@ class PeriodPolynomial:
         return "PeriodPolynomial(%s, %s)" % (self.poly.text(), self.parity)
 
 
-def _bivariate_monomials(degree, parity):
-    out = []
-    for a in range(degree + 1):
-        b = degree - a
-        if parity == "even" and (a % 2 or b % 2):
-            continue
-        if parity == "odd" and (a % 2 == 0 or b % 2 == 0):
-            continue
-        out.append((a, b))
-    return out
-
-
-def _three_term_rows(monomials):
-    """Rows of the linear system P(x,y)+P(y,x) = 0 and
-    P(x,y)+P(x-y,x)+P(-y,x-y) = 0 in the given monomial basis."""
-    swap = [var_vector(2, 2), var_vector(2, 1)]
-    sub1 = [(ZERO, QQ(1), QQ(-1)), (ZERO, QQ(1), ZERO)]      # (x-y, x)
-    sub2 = [(ZERO, ZERO, QQ(-1)), (ZERO, QQ(1), QQ(-1))]     # (-y, x-y)
-    sym, rel = [], []
-    for a, b in monomials:
-        f = RationalFunction.monomial(2, (a, b))
-        sym.append(f + f.substitute_affine(swap, 2))
-        rel.append(rf_sum_a(2, [f, f.substitute_affine(sub1, 2),
-                                f.substitute_affine(sub2, 2)]))
-    return coefficient_rows(sym) + coefficient_rows(rel)
-
-
 def period_space(weight, parity):
     """Basis of the period-polynomial space of the given modular weight.
 
     parity 'even' or 'odd'; the even space is the primitive one, with the
     value at (1, 0) removed (the cusp-form avatar).
     """
+    if parity not in ("even", "odd"):
+        raise ValueError("parity must be 'even' or 'odd', got %r" % (parity,))
     if weight % 2 or weight < 4:
         return []
-    degree = weight - 2
-    monomials = _bivariate_monomials(degree, parity)
-    if not monomials:
-        return []
-    matrix = _three_term_rows(monomials)
-    if parity == "even":
-        matrix.append([QQ(1) if b == 0 else ZERO for (a, b) in monomials])
-    basis = linalg.nullspace(matrix, len(monomials))
-    out = []
-    for vec in basis:
-        terms = {m: c for m, c in zip(monomials, vec) if c != 0}
-        out.append(PeriodPolynomial(Polynomial(2, terms), parity))
-    return out
+    odd = parity == "odd"
+    # the degree is even, so both exponents of a monomial share a parity
+    monomials = [m for m in _monomials(2, weight - 2) if m[0] % 2 == odd]
+    conditions = [lambda f: f + f.substitute_affine(_SWAP, 2),
+                  lambda f: rf_sum_a(2, [f, f.substitute_affine(_U, 2),
+                                         f.substitute_affine(_U2, 2)])]
+    if not odd:
+        conditions.append(lambda f: f.substitute_affine(
+            (var_vector(2, 1), var_vector(2, 0)), 2))        # y -> 0
+    return [PeriodPolynomial(v.num, parity)
+            for v in _kernel(2, monomials, conditions)]
 
 
 def p_even_generator(weight):
@@ -196,22 +211,6 @@ def exceptional_e(f):
 # linearized double shuffle nullspaces
 
 
-def _monomials(arity, degree):
-    if degree < 0:
-        return []
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), degree, arity)
-    return out
-
-
 # largest monomial ansatz lin_ds_nullspace accepts
 _ANSATZ_CAP = 20000
 
@@ -225,39 +224,21 @@ def lin_ds_nullspace(depth, weight, allow_poles=False):
     """
     if allow_poles:
         den = c_n(depth).den
-        num_degree = weight - depth + depth + 1
+        num_degree = weight + 1
     else:
         den = {}
         num_degree = weight - depth
     monomials = _monomials(depth, num_degree)
-    if not monomials:
-        return []
     if len(monomials) > _ANSATZ_CAP:
         raise ValueError("ansatz of %d monomials exceeds the cap"
                          % len(monomials))
-    basis_fns = [RationalFunction.from_num_den(
-        Polynomial.monomial(depth, m, 1), dict(den)) for m in monomials]
-    rows = []
-    for p in range(1, depth // 2 + 1):
-        q = depth - p
-        for sharp in (False, True):
-            residuals = [check_linearized(b, p, q, sharp).residual
-                         for b in basis_fns]
-            rows.extend(coefficient_rows(residuals))
+    conditions = [lambda f, p=p, sharp=sharp:
+                  check_linearized(f, p, depth - p, sharp).residual
+                  for p in range(1, depth // 2 + 1) for sharp in (False, True)]
     if depth == 1:
         # evenness constraint from the depth-two stuffle family
-        for i, m in enumerate(monomials):
-            if m[0] % 2 == 1:
-                row = [ZERO] * len(monomials)
-                row[i] = QQ(1)
-                rows.append(row)
-    kernel = linalg.nullspace(rows, len(monomials))
-    out = []
-    for vec in kernel:
-        terms = {m: c for m, c in zip(monomials, vec) if c != 0}
-        out.append(RationalFunction.from_num_den(Polynomial(depth, terms),
-                                                 dict(den)))
-    return out
+        conditions.append(odd_part)
+    return _kernel(depth, monomials, conditions, den)
 
 
 def ls_dimension(depth, weight, allow_poles=False):
@@ -297,33 +278,13 @@ def bracket_kernel_ls2(weight):
 
 def pi2(f):
     """Projection onto antisymmetric cyclic-sum-zero polynomials."""
-    w1 = perm_eval(f, (2, 1))
-    sub1 = f.substitute_affine([diff_vector(2, 2, 1),
-                                (ZERO, QQ(-1), ZERO)], 2)   # (x2-x1, -x1)
-    sub2 = f.substitute_affine([diff_vector(2, 1, 2),
-                                (ZERO, ZERO, QQ(-1))], 2)   # (x1-x2, -x2)
-    return rf_sum_a(2, [f, -w1, -sub1, sub2])
+    h = f - f.substitute_affine(_MINUS_U, 2)
+    return h - h.substitute_affine(_SWAP, 2)
 
 
 def c2_space(degree):
     """Basis of antisymmetric polynomials with vanishing cyclic sum."""
-    monomials = _monomials(2, degree)
-    if not monomials:
-        return []
-    anti, cyc = [], []
-    for m in monomials:
-        f = RationalFunction.monomial(2, m)
-        anti.append(f + perm_eval(f, (2, 1)))
-        cyc.append(rf_sum_a(2, [
-            f,
-            f.substitute_affine([diff_vector(2, 2, 1),
-                                 (ZERO, QQ(-1), ZERO)], 2),
-            f.substitute_affine([(ZERO, ZERO, QQ(-1)),
-                                 diff_vector(2, 1, 2)], 2)]))
-    matrix = coefficient_rows(anti) + coefficient_rows(cyc)
-    basis = linalg.nullspace(matrix, len(monomials))
-    out = []
-    for vec in basis:
-        terms = {m: c for m, c in zip(monomials, vec) if c != 0}
-        out.append(Polynomial(2, terms))
-    return out
+    conditions = [lambda f: f + f.substitute_affine(_SWAP, 2),
+                  lambda f: rf_sum_a(2, [f, f.substitute_affine(_MINUS_U, 2),
+                                         f.substitute_affine(_U2, 2)])]
+    return [v.num for v in _kernel(2, _monomials(2, degree), conditions)]

@@ -62,13 +62,6 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
-    def test_parallel_jobs_match_serial(self, capsys, monkeypatch):
-        argv = ("verify", "--gen", "psi3", "--max-depth", "4")
-        monkeypatch.delenv("DSHUFFLE_JOBS", raising=False)
-        serial = invoke(capsys, *argv)
-        monkeypatch.setenv("DSHUFFLE_JOBS", "2")
-        assert invoke(capsys, *argv) == serial
-
 
 class TestBracketRes:
     def test_bracket(self, capsys):

@@ -147,6 +147,26 @@ class TestSymmetryChecks:
         assert rep.passed
 
 
+class TestDepthOneParity:
+    @staticmethod
+    def parity_report(f):
+        return next(r for r in is_in_pls(f) if r.family == "parity")
+
+    def test_powers_of_x1(self):
+        # the parity of x1^n is that of n, poles included
+        for n in range(-3, 4):
+            rep = self.parity_report(mono(n))
+            assert rep.passed == (n % 2 == 0), n
+            assert rep.residual.equals(
+                mono(n) if n % 2 else RationalFunction.zero(1))
+
+    def test_residual_is_reduced_odd_part(self):
+        f = parse("(1 + x1^3)/( x1 )", 1)
+        rep = self.parity_report(f)
+        assert not rep.passed
+        assert rep.residual.text() == "(1)/( x1 )"
+
+
 class TestSixTerm:
     def test_psi0_small_depths(self):
         series = psi_zero(3)

@@ -1,0 +1,89 @@
+"""Exact linear algebra against sympy as an independent oracle."""
+
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from dshuffle.linalg import nullspace, rref, solve_affine
+from dshuffle.rationals import QQ
+
+small_rat = st.builds(QQ, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def matrices(draw, extra_cols=0):
+    """A rows x (cols + extra_cols) matrix of small rationals, at most
+    6 x 6 before the extra columns, biased towards rank deficiency."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(QQ(0)), small_rat)
+    m = [[draw(entry) for _ in range(cols + extra_cols)] for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        # a combination of earlier rows, so the rank drops
+        c = draw(small_rat)
+        m[-1] = [a + c * b for a, b in zip(m[0], m[-2])]
+    return m
+
+
+def _sympy(m):
+    return sympy.Matrix([[sympy.Rational(int(v.numerator),
+                                         int(v.denominator)) for v in row]
+                         for row in m])
+
+
+def _times(m, v):
+    return [sum(a * b for a, b in zip(row, v)) for row in m]
+
+
+class TestRref:
+    @settings(max_examples=80, deadline=None)
+    @given(matrices())
+    def test_matches_sympy(self, m):
+        rows, pivots = rref(m)
+        expected, expected_pivots = _sympy(m).rref()
+        assert tuple(pivots) == expected_pivots
+        assert _sympy(rows) == expected
+
+
+class TestNullspace:
+    @settings(max_examples=80, deadline=None)
+    @given(matrices())
+    def test_kernel_vectors(self, m):
+        n = len(m[0])
+        basis = nullspace(m, n)
+        assert len(basis) == n - _sympy(m).rank()
+        for v in basis:
+            assert _times(m, v) == [0] * len(m)
+        if basis:
+            assert _sympy(basis).rank() == len(basis)
+
+    def test_empty_matrix_is_identity(self):
+        assert nullspace([], 2) == [[1, 0], [0, 1]]
+
+
+class TestSolveAffine:
+    @settings(max_examples=80, deadline=None)
+    @given(matrices(extra_cols=1))
+    def test_against_ranks(self, aug):
+        m = [row[:-1] for row in aug]
+        b = [row[-1] for row in aug]
+        n = len(m[0])
+        rank = _sympy(m).rank()
+        solved = solve_affine(m, b, n)
+        if rank < _sympy(aug).rank():
+            assert solved is None
+        else:
+            x, kernel_dim = solved
+            assert _times(m, x) == b
+            assert kernel_dim == n - rank
+
+    def test_empty_system(self):
+        x, kernel_dim = solve_affine([], [], 3)
+        assert x == [0, 0, 0] and kernel_dim == 3
+
+    def test_inconsistent_without_unknowns(self):
+        assert solve_affine([[]], [QQ(1)], 0) is None
+        assert solve_affine([[]], [QQ(0)], 0) == ([], 0)
+
+    def test_free_coordinates_pinned_to_zero(self):
+        # x + y = 2 with y free
+        assert solve_affine([[QQ(1), QQ(1)]], [QQ(2)], 2) == ([2, 0], 1)

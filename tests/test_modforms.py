@@ -59,6 +59,11 @@ class TestPeriodSpaces:
             b.terms[next(iter(witness.terms))]
         assert b.scale(ratio) == witness
 
+    def test_unknown_parity_rejected(self):
+        for parity in ("Even", "ODD", "", None):
+            with pytest.raises(ValueError):
+                period_space(12, parity)
+
     def test_s12_generator(self):
         basis = period_space(12, "even")
         assert len(basis) == 1
