@@ -127,16 +127,14 @@ def cmd_decompose(args):
     return 0
 
 
-DIM_SPACES = ("ls1", "ls2", "ls3", "Pe", "Po", "C2")
+DIM_SPACES = ("ls1", "ls2", "ls3", "ls4", "Pe", "Po", "C2")
 
 
 def _dims_row(space, w):
     if space == "ls1":
         return modforms.ls_dimension(1, w) if w >= 2 else 0
-    if space == "ls2":
-        return modforms.ls_dimension(2, w)
-    if space == "ls3":
-        return modforms.ls_dimension(3, w)
+    if space.startswith("ls"):
+        return modforms.ls_dimension(int(space[2:]), w)
     if space == "Pe":
         return len(modforms.period_space(w, "even"))
     if space == "Po":
@@ -175,11 +173,14 @@ def cmd_coeff(args):
     return 0
 
 
+FORMATS = ("text", "json")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dshuffle",
         description="Exact double shuffle calculus with poles")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("--format", choices=FORMATS, default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a generator")
@@ -224,6 +225,9 @@ def build_parser():
     p.add_argument("--word", required=True, help="comma-separated, e.g. 5,2,2")
     p.add_argument("--max-depth", type=int, default=4)
 
+    # --format is accepted after the subcommand too
+    for p in list(sub.choices.values()) + list(gsub.choices.values()):
+        p.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS)
     return parser
 
 

@@ -52,16 +52,16 @@ import json
 import re
 from math import factorial, gcd
 
-from .rationals import QQ, ZERO, ONE, rat, rat_str, rat_from_str, as_int_pair
+from .rationals import (QQ, ZERO, ONE, _P, rat, rat_str, rat_from_str,
+                        as_int_pair)
 
 
 class ArityMismatch(ValueError):
     pass
 
 
-# modulus of the divisibility pretest (a Mersenne prime), and the step of
-# its fixed evaluation point x_i = i * _STEP mod p, which is nonzero
-_P = (1 << 61) - 1
+# the step of the divisibility pretest's fixed evaluation point
+# x_i = i * _STEP mod _P, which is nonzero
 _STEP = 0x9E3779B97F4A7C15
 
 
@@ -425,7 +425,8 @@ def form_normalize(coeffs):
 
     Returns (scalar, form) with scalar a rational and form a primitive
     integer tuple whose highest-index nonzero entry is positive, so that
-    input = scalar * form.  Returns (0, None) for the zero form.
+    input = scalar * form.  Returns (0, None) for the zero form and
+    (c, ()) for the nonzero constant c.
     """
     coeffs = [rat(c) for c in coeffs]
     if all(c == 0 for c in coeffs):
@@ -445,7 +446,7 @@ def form_normalize(coeffs):
             pivot = i
             break
     if pivot == 0:
-        raise ValueError("nonzero constant form in denominator")
+        return QQ(ints[0] * g, den_lcm), ()
     sign = 1
     if ints[pivot] < 0:
         sign = -1
@@ -767,7 +768,8 @@ class RationalFunction:
         """Compose with x_i -> affine image (coefficient tuples).
 
         Denominator forms are re-derived by factoring the substituted
-        forms; a form substituting to zero raises PoleOrderError.  The
+        forms; a form substituting to zero raises PoleOrderError, and one
+        substituting to a nonzero constant joins the scalar.  The
         result is normalized again unless the value has no denominator or
         the images have independent linear parts (see the module docstring).
         """
@@ -781,7 +783,8 @@ class RationalFunction:
                 raise PoleOrderError(
                     "denominator form %s becomes identically zero" % form_text(f))
             scalar *= s ** k
-            counts[nf] = counts.get(nf, 0) + k
+            if nf:
+                counts[nf] = counts.get(nf, 0) + k
         num = self.num.substitute_affine(images, target_arity)
         if scalar != 1:
             num = num.scale(ONE / scalar)

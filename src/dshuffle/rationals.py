@@ -14,6 +14,9 @@ except ImportError:  # pragma: no cover
 ZERO = QQ(0)
 ONE = QQ(1)
 
+# the word-size prime of all modular arithmetic (a Mersenne prime)
+_P = (1 << 61) - 1
+
 
 def rat(p, q=1):
     return QQ(p, q)

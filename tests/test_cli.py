@@ -194,6 +194,13 @@ class TestDims:
         dims = json.loads(out)["dims"]
         assert dims["12"] == 1 and dims["14"] == 0 and dims["16"] == 1
 
+    def test_ls4_weight12(self, capsys):
+        code, out, _ = invoke(capsys, "dims", "--space", "ls4",
+                              "--min-weight", "12", "--max-weight", "12",
+                              "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"space": "ls4", "dims": {"12": 1}}
+
     def test_c2_table(self, capsys):
         code, out, _ = invoke(capsys, "dims", "--space", "C2",
                               "--max-weight", "5")

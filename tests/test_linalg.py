@@ -3,23 +3,26 @@
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from dshuffle.linalg import nullspace, rref, solve_affine
-from dshuffle.rationals import QQ
+from dshuffle.linalg import _primes, nullspace, rref, solve_affine
+from dshuffle.rationals import QQ, _P
 
 small_rat = st.builds(QQ, st.integers(-4, 4), st.integers(1, 3))
+tall_rat = st.builds(QQ, st.integers(-2 ** 80, 2 ** 80),
+                     st.integers(1, 2 ** 70))
 
 
 @st.composite
-def matrices(draw, extra_cols=0):
-    """A rows x (cols + extra_cols) matrix of small rationals, at most
-    6 x 6 before the extra columns, biased towards rank deficiency."""
-    rows = draw(st.integers(1, 6))
-    cols = draw(st.integers(1, 6))
-    entry = st.one_of(st.just(QQ(0)), small_rat)
+def matrices(draw, extra_cols=0, size=6, scalars=small_rat):
+    """A rows x (cols + extra_cols) matrix of the given scalars, at most
+    size x size before the extra columns, biased towards rank
+    deficiency."""
+    rows = draw(st.integers(1, size))
+    cols = draw(st.integers(1, size))
+    entry = st.one_of(st.just(QQ(0)), scalars)
     m = [[draw(entry) for _ in range(cols + extra_cols)] for _ in range(rows)]
     if rows > 1 and draw(st.booleans()):
         # a combination of earlier rows, so the rank drops
-        c = draw(small_rat)
+        c = draw(scalars)
         m[-1] = [a + c * b for a, b in zip(m[0], m[-2])]
     return m
 
@@ -34,6 +37,13 @@ def _times(m, v):
     return [sum(a * b for a, b in zip(row, v)) for row in m]
 
 
+def _assert_rref(m):
+    rows, pivots = rref(m)
+    expected, expected_pivots = _sympy(m).rref()
+    assert tuple(pivots) == expected_pivots
+    assert _sympy(rows) == expected
+
+
 class TestRref:
     @settings(max_examples=80, deadline=None)
     @given(matrices())
@@ -42,6 +52,35 @@ class TestRref:
         expected, expected_pivots = _sympy(m).rref()
         assert tuple(pivots) == expected_pivots
         assert _sympy(rows) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(size=5, scalars=tall_rat))
+    def test_tall_entries_match_sympy(self, m):
+        _assert_rref(m)
+
+    def test_entries_taller_than_one_prime(self):
+        # the kernel entry needs CRT over two or more primes
+        m = [[QQ(3 ** 50), QQ(2 ** 70 + 1)]]
+        _assert_rref(m)
+        assert rref(m)[0] == [[1, QQ(2 ** 70 + 1, 3 ** 50)]]
+
+    def test_unlucky_prime(self):
+        # over Q the pivot is column 0; modulo 2^61 - 1 it is column 2
+        m = [[QQ(_P), QQ(0), QQ(1)]]
+        _assert_rref(m)
+        assert rref(m)[1] == [0]
+
+    def test_denominator_divisible_by_the_prime(self):
+        m = [[QQ(1, _P), QQ(1), QQ(2)], [QQ(3), QQ(1, 2 * _P), QQ(-1)],
+             [QQ(3, _P), QQ(3), QQ(6)]]
+        _assert_rref(m)
+
+    def test_prime_sequence_matches_sympy(self):
+        primes = _primes()
+        expected = [_P]
+        for _ in range(4):
+            expected.append(sympy.prevprime(expected[-1]))
+        assert [next(primes) for _ in expected] == expected
 
 
 class TestNullspace:

@@ -112,6 +112,14 @@ class TestExceptional:
         with pytest.raises(ValueError):
             exceptional_e(p_even_generator(12))
 
+    def test_ls4_weight12_is_the_exceptional_element(self):
+        # the solver's kernel basis is the element of the weight-12 cusp
+        # form, term for term and coefficient for coefficient
+        e = exceptional_e(period_space(12, "even")[0])
+        basis = lin_ds_nullspace(4, 12)
+        assert basis == [e]
+        assert basis[0].num.terms == e.num.terms and basis[0].den == e.den
+
 
 class TestNullspaces:
     def test_depth1_even_powers(self):
@@ -140,14 +148,15 @@ class TestNullspaces:
 
     def test_ls3_from_exact_sequence(self):
         # depth-3 dims = free Lie triple count minus cusp x depth-1 count
-        ls1 = dimension_series("ls1", 15)
-        cusp = dimension_series("cusp", 15)
-        lie3 = lie3_dimensions(ls1, 15)
-        tensor = [0] * 16
-        for a in range(16):
-            for b in range(16 - a):
+        ls1 = dimension_series("ls1", 17)
+        cusp = dimension_series("cusp", 17)
+        lie3 = lie3_dimensions(ls1, 17)
+        tensor = [0] * 18
+        for a in range(18):
+            for b in range(18 - a):
                 tensor[a + b] += cusp[a] * ls1[b]
-        for w in (9, 11, 13):
+        assert (lie3[15] - tensor[15], lie3[17] - tensor[17]) == (2, 4)
+        for w in (9, 11, 13, 15, 17):
             assert ls_dimension(3, w) == lie3[w] - tensor[w]
 
 

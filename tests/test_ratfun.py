@@ -123,6 +123,13 @@ class TestSubstitute:
         with pytest.raises(PoleOrderError):
             f.substitute_affine(images, 2)
 
+    def test_denominator_becomes_a_constant(self):
+        # x1 -> 2, x2 -> x1: the form x1 becomes the scalar 2
+        f = rf("x2/(x1)")
+        images = [(QQ(2), QQ(0)), var_vector(1, 1)]
+        assert f.substitute_affine(images, 1).equals(rf("x1", 1).scale(
+            QQ(1, 2)))
+
 
 small_rat = st.builds(QQ, st.integers(-6, 6), st.integers(1, 4))
 point_rat = st.builds(QQ, st.integers(-60, 60), st.integers(1, 7))
