@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rationals import QQ, ZERO, rat_str
+from .rationals import QQ, rat_str
 from .ratfun import RationalFunction, coefficient_rows
 from .series import DepthSeries, series_ihara_bracket
 from .gens import Q4, generator
@@ -210,7 +210,7 @@ def coefficient_of_word(series, word):
     mono = tuple(k - 1 for k in word)
     if any(e < 0 for e in mono):
         raise ValueError("word entries must be >= 1")
-    return comp.num.terms.get(mono, ZERO)
+    return comp.num.coefficient(mono)
 
 
 def congruence_check(value, prime):

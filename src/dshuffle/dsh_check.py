@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rationals import QQ, ZERO
+from .rationals import QQ
 from .ratfun import (Polynomial, RationalFunction, linear_form, rf_sum_a,
                      var_vector)
 from .series import sigma, tau
@@ -48,7 +48,7 @@ def sharp_eval(f, word):
     """f evaluated at the prefix sums of x along a word of indices."""
     n = f.arity
     images = []
-    acc = [ZERO] * (n + 1)
+    acc = [0] * (n + 1)
     for idx in word:
         acc = list(acc)
         acc[idx] += 1

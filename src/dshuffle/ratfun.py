@@ -8,7 +8,14 @@ only meant to appear inside equation checking, never in stored elements.
 
 Representation:
   * Monomial  -- exponent tuple, one entry per variable.
-  * Polynomial -- sparse dict Monomial -> rational, fixed arity.
+  * Polynomial -- content times a primitive integer polynomial, fixed
+                  arity: `content` is a positive rational and `ints` a
+                  sparse dict Monomial -> nonzero int whose values have
+                  gcd 1 (the content / primitive-part split of Geddes,
+                  Czapor & Labahn, Algorithms for Computer Algebra, ch. 2).
+                  The split is unique, so equality compares content and
+                  ints.  Zero has content 1 and no terms.  `terms` is the
+                  read-only rational view content * ints.
   * forms      -- a denominator factor is a canonical integer tuple
                   (c0, c1, .., cd) meaning c0 + c1*x1 + .. + cd*xd,
                   primitive, with its highest-index nonzero entry positive.
@@ -20,12 +27,23 @@ Monomial order used for printing and serialization is graded lex:
 sort key (total degree, exponent tuple).
 
 Kernels:
+  * Every kernel works on the integer terms; a rational operation runs
+    once per polynomial, on the content.  A sum is taken over a common
+    content, the gcd of the summands' content numerators over the lcm of
+    their denominators, and one gcd pass over its integer terms restores
+    gcd 1; a derivative, a substitution and a homogeneous part get the
+    same gcd pass.
+    By Gauss's lemma a product of primitive polynomials is primitive, so
+    a product, a product by a canonical form and an exact quotient by one
+    need no gcd pass.
   * Affine substitution has one path with two kernels, chosen from the
     images.  When every image is a single variable x_j with coefficient 1,
     or zero, the monomials are relabelled: exponents move to their new
     slots, terms that land on one monomial are merged and a monomial that
     uses a zero image is dropped.  Any other images run a Horner scheme
-    over the source variables whose every step is Polynomial.mul_form.
+    over the source variables whose every step multiplies integer terms
+    by an integer form; rational images are first written as integer
+    forms over integer denominators, which move into the content.
   * A substituted value is normalized again (its numerator divided by
     each denominator form that divides it) only when the images' linear
     parts are dependent, e.g. x_a -> x_b, a zero image or a repeated letter.
@@ -37,11 +55,17 @@ Kernels:
     fraction-free integer elimination; an image with a non-integral
     coefficient counts as dependent, since normalizing again is always
     safe.
-  * Divisibility by a form is pretested by evaluating the numerator modulo
-    the prime p = 2^61 - 1 at a fixed point of the form's hyperplane.  If
-    the form divides the numerator, the value is zero mod p, so a nonzero
-    residue proves non-divisibility; zero, or a denominator or pivot that
-    p divides, falls through to the exact division.  The pretest only
+  * Exact division by a canonical form runs layer by layer in the
+    pivot variable.  The quotient of a primitive polynomial by a
+    primitive form is integral (Gauss's lemma), so with a pivot
+    coefficient other than 1 each layer is divided by divmod, and a
+    nonzero remainder proves that the form does not divide.
+  * Divisibility by a form is pretested by evaluating the integer terms
+    modulo the prime p = 2^61 - 1 at a fixed point of the form's
+    hyperplane.  If the form divides the numerator, the value is zero
+    mod p, so a nonzero residue proves non-divisibility; zero, or a pivot
+    coefficient that p divides, falls through to the exact division.  The
+    integer terms have no denominator for p to divide.  The pretest only
     decides whether an exact division is attempted, never its outcome, so
     it cannot change a result.
 """
@@ -50,7 +74,8 @@ from __future__ import annotations
 
 import json
 import re
-from math import factorial, gcd
+from collections.abc import Mapping
+from math import factorial, gcd, lcm, prod
 
 from .rationals import (QQ, ZERO, ONE, _P, rat, rat_str, rat_from_str,
                         as_int_pair)
@@ -81,23 +106,44 @@ class ParseError(ValueError):
 # polynomials
 
 
-class Polynomial:
-    """Sparse multivariate polynomial with exact rational coefficients."""
+class _Terms(Mapping):
+    """Read-only view Monomial -> rational coefficient of a Polynomial."""
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("_content", "_ints")
+
+    def __init__(self, content, ints):
+        self._content = content
+        self._ints = ints
+
+    def __getitem__(self, m):
+        return self._content * self._ints[m]
+
+    def __iter__(self):
+        return iter(self._ints)
+
+    def __len__(self):
+        return len(self._ints)
+
+
+class Polynomial:
+    """Sparse multivariate polynomial with exact rational coefficients,
+    stored as content * ints (see the module docstring)."""
+
+    __slots__ = ("arity", "content", "ints")
 
     def __init__(self, arity, terms=None):
+        """terms: dict Monomial -> rational; zero coefficients are dropped."""
+        terms = {m: c for m, c in terms.items() if c} if terms else {}
+        content, ints = _split(terms.values())
         self.arity = arity
-        self.terms = terms if terms is not None else {}
+        self.content = content if terms else ONE
+        self.ints = dict(zip(terms, ints))
 
     # -- constructors
 
     @classmethod
     def const(cls, arity, c):
-        c = rat(c)
-        if c == 0:
-            return cls(arity)
-        return cls(arity, {(0,) * arity: c})
+        return cls(arity, {(0,) * arity: rat(c)})
 
     @classmethod
     def variable(cls, arity, i, power=1, coeff=1):
@@ -109,44 +155,52 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, arity, exps, coeff=1):
-        coeff = rat(coeff)
-        if coeff == 0:
-            return cls(arity)
         if len(exps) != arity:
             raise ArityMismatch("exponent tuple has wrong length")
-        return cls(arity, {tuple(exps): coeff})
+        return cls(arity, {tuple(exps): rat(coeff)})
 
     # -- basic queries
 
+    @property
+    def terms(self):
+        """The coefficients as a read-only dict-like Monomial -> rational."""
+        return _Terms(self.content, self.ints)
+
+    def coefficient(self, m):
+        """The rational coefficient of the monomial m (0 when absent)."""
+        c = self.ints.get(m)
+        return ZERO if c is None else self.content * c
+
     def is_zero(self):
-        return not self.terms
+        return not self.ints
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.ints)
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.arity == other.arity
-                and self.terms == other.terms)
+                and self.ints == other.ints and self.content == other.content)
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+        return hash((self.arity, self.content, frozenset(self.ints.items())))
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.ints:
             return -1
-        return max(sum(m) for m in self.terms)
+        return max(sum(m) for m in self.ints)
 
     def is_homogeneous(self):
-        degs = {sum(m) for m in self.terms}
+        degs = {sum(m) for m in self.ints}
         return len(degs) <= 1
 
     def homogeneous_parts(self):
         """dict degree -> Polynomial."""
         parts = {}
-        for m, c in self.terms.items():
+        for m, c in self.ints.items():
             parts.setdefault(sum(m), {})[m] = c
-        return {d: Polynomial(self.arity, t) for d, t in parts.items()}
+        return {d: _primitive(self.arity, self.content, t)
+                for d, t in parts.items()}
 
     # -- arithmetic
 
@@ -157,70 +211,59 @@ class Polynomial:
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        _accumulate(terms, other.terms)
-        return Polynomial(self.arity, terms)
+        if not other.ints:
+            return self
+        if not self.ints:
+            return other
+        content, (ka, kb) = _split((self.content, other.content))
+        out = {}
+        _accumulate(out, self.ints, ka)
+        _accumulate(out, other.ints, kb)
+        return _primitive(self.arity, content, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Polynomial(self.arity, {m: -c for m, c in self.terms.items()})
+        return _poly(self.arity, self.content,
+                     {m: -c for m, c in self.ints.items()})
 
     def scale(self, c):
-        c = rat(c)
-        if c == 0:
+        if not c or not self.ints:
             return Polynomial(self.arity)
-        return Polynomial(self.arity, {m: c * v for m, v in self.terms.items()})
+        content = self.content * c
+        if content > 0:
+            return _poly(self.arity, content, self.ints)
+        return _poly(self.arity, -content, {m: -v for m, v in self.ints.items()})
 
     def __mul__(self, other):
+        # a product of primitive polynomials is primitive (Gauss's lemma)
         self._check(other)
-        a, b = self.terms, other.terms
+        a, b = self.ints, other.ints
+        if not a or not b:
+            return Polynomial(self.arity)
         if len(a) > len(b):
             a, b = b, a
         out = {}
+        get = out.get
         for ma, ca in a.items():
             for mb, cb in b.items():
                 m = tuple(x + y for x, y in zip(ma, mb))
-                s = out.get(m, ZERO) + ca * cb
-                if s == 0:
-                    out.pop(m, None)
-                else:
+                s = get(m, 0) + ca * cb
+                if s:
                     out[m] = s
-        return Polynomial(self.arity, out)
+                else:
+                    del out[m]
+        return _poly(self.arity, self.content * other.content, out)
 
     def mul_form(self, form):
-        """Multiply by the affine form c0 + sum ci*xi (fast path).
-
-        Coefficients 1 and -1, the usual ones, add or subtract the term
-        without a scalar multiply.
-        """
-        steps = []
-        for i in range(self.arity + 1):
-            ci = form[i]
-            if ci:
-                steps.append((i - 1, 1 if ci == 1 else -1 if ci == -1 else 0,
-                              ci))
-        out = {}
-        get = out.get
-        for m, c in self.terms.items():
-            for pos, unit, ci in steps:
-                mm = m[:pos] + (m[pos] + 1,) + m[pos + 1:] if pos >= 0 else m
-                old = get(mm)
-                if old is None:
-                    out[mm] = c if unit > 0 else -c if unit else ci * c
-                    continue
-                if unit > 0:
-                    s = old + c
-                elif unit:
-                    s = old - c
-                else:
-                    s = old + ci * c
-                if s:
-                    out[mm] = s
-                else:
-                    del out[mm]
-        return Polynomial(self.arity, out)
+        """Multiply by the affine form c0 + sum ci*xi (rational entries
+        allowed)."""
+        scalar, form = _split(form)
+        if not scalar or not self.ints:
+            return Polynomial(self.arity)
+        return _poly(self.arity, self.content * scalar,
+                     _times_form(self.ints, form))
 
     def mul_forms(self, forms):
         """Multiply by each affine form of an iterable in turn."""
@@ -232,12 +275,11 @@ class Polynomial:
     def derivative(self, i):
         """Partial derivative with respect to x_i (1-based)."""
         out = {}
-        for m, c in self.terms.items():
+        for m, c in self.ints.items():
             e = m[i - 1]
             if e:
-                mm = m[:i - 1] + (e - 1,) + m[i:]
-                out[mm] = out.get(mm, ZERO) + c * e
-        return Polynomial(self.arity, {m: c for m, c in out.items() if c != 0})
+                out[m[:i - 1] + (e - 1,) + m[i:]] = c * e
+        return _primitive(self.arity, self.content, out)
 
     # -- substitution and evaluation
 
@@ -246,7 +288,7 @@ class Polynomial:
         (c0, c1, .., cD) of an affine form in target_arity variables."""
         if len(images) != self.arity:
             raise ArityMismatch("need one image per variable")
-        if not self.terms:
+        if not self.ints:
             return Polynomial(target_arity)
         targets = []
         for img in images:
@@ -256,15 +298,30 @@ class Polynomial:
             elif len(support) == 1 and support[0] and img[support[0]] == 1:
                 targets.append(support[0])
             else:
-                return Polynomial(target_arity, _horner(
-                    self.terms, self.arity, images, target_arity))
-        return self._relabel(targets, target_arity)
+                break
+        else:
+            return _primitive(target_arity, self.content,
+                              self._relabel(targets, target_arity))
+        # x_i -> f_i / d_i with f_i integral: the numerator over
+        # prod d_i^top_i is the substitution of f_i into
+        # sum c_m prod x_i^m_i d_i^(top_i - m_i)
+        dens = [lcm(*(c.denominator for c in img)) for img in images]
+        images = [tuple(c.numerator * (d // c.denominator) for c in img)
+                  for img, d in zip(images, dens)]
+        ints, content = self.ints, self.content
+        if any(d != 1 for d in dens):
+            tops = [max(m[i] for m in ints) for i in range(self.arity)]
+            ints = {m: c * prod(d ** (t - e) for d, t, e in zip(dens, tops, m))
+                    for m, c in ints.items()}
+            content /= prod(d ** t for d, t in zip(dens, tops))
+        return _primitive(target_arity, content,
+                          _horner(ints, self.arity, images, target_arity))
 
     def _relabel(self, targets, target_arity):
         """x_i -> x_targets[i-1], where target 0 means x_i -> 0."""
         out = {}
         get = out.get
-        for m, c in self.terms.items():
+        for m, c in self.ints.items():
             mm = [0] * target_arity
             for e, t in zip(m, targets):
                 if e:
@@ -282,30 +339,30 @@ class Polynomial:
                         out[mm] = s
                     else:
                         del out[mm]
-        return Polynomial(target_arity, out)
+        return out
 
     def evaluate(self, point):
         """Evaluate at a tuple of rationals."""
         if len(point) != self.arity:
             raise ArityMismatch("point has wrong length")
-        total = ZERO
-        for m, c in self.terms.items():
+        total = 0
+        for m, c in self.ints.items():
             v = c
             for x, e in zip(point, m):
                 if e:
                     v *= x ** e
             total += v
-        return total
+        return self.content * total
 
     def divide_form(self, form, tester=None):
         """Exact division by an affine form; returns the quotient or None.
 
-        The form must be canonical (see form_normalize); in particular its
-        pivot coefficient is a positive integer.  tester, a
-        _DivisibilityTester of this polynomial, lets callers share one
-        pretest across forms.
+        The form must be canonical (see form_normalize); in particular it
+        is primitive and its pivot coefficient is a positive integer.
+        tester, a _DivisibilityTester of this polynomial, lets callers
+        share one pretest across forms.
         """
-        if not self.terms:
+        if not self.ints:
             return self
         arity = self.arity
         v = _form_pivot(form)
@@ -313,32 +370,38 @@ class Polynomial:
         if cv == 1 and form[0] == 0 and \
                 all(form[i] == 0 for i in range(1, arity + 1) if i != v):
             # plain variable x_v: divisible iff every monomial contains it
-            if any(m[v - 1] == 0 for m in self.terms):
+            if any(m[v - 1] == 0 for m in self.ints):
                 return None
-            return Polynomial(arity, {m[:v - 1] + (m[v - 1] - 1,) + m[v:]: c
-                                      for m, c in self.terms.items()})
+            return _poly(arity, self.content,
+                         {m[:v - 1] + (m[v - 1] - 1,) + m[v:]: c
+                          for m, c in self.ints.items()})
         if tester is None:
             tester = _DivisibilityTester(self)
         if not tester.may_divide(form):
             return None
         # form = cv*x_v - h  with h affine in the remaining variables; the
-        # layer q_k of the quotient sends h*q_k down to the next layer
+        # layer q_k of the quotient sends h*q_k down to the next layer.  A
+        # quotient by a primitive form is integral (Gauss's lemma), so a
+        # layer that cv does not divide proves that the form does not.
         h = tuple(-c for c in form[:v]) + (0,) * (arity + 1 - v)
         # group terms by the exponent of x_v
         layers = {}
-        for m, c in self.terms.items():
+        for m, c in self.ints.items():
             layers.setdefault(m[v - 1], {})[m[:v - 1] + (0,) + m[v:]] = c
-        inv = QQ(1, int(cv))
         carry = {}
         quotient = {}
         for k in range(max(layers), -1, -1):
             pk = layers.get(k, {})
             _accumulate(pk, carry)
             if k == 0:
-                return None if pk else Polynomial(arity, quotient)
+                return None if pk else _poly(arity, self.content, quotient)
             if cv != 1:
-                pk = {m: c * inv for m, c in pk.items()}
-            carry = Polynomial(arity, pk).mul_form(h).terms if any(h) else {}
+                for m, c in pk.items():
+                    q, r = divmod(c, cv)
+                    if r:
+                        return None
+                    pk[m] = q
+            carry = _times_form(pk, h) if any(h) else {}
             for m, c in pk.items():
                 quotient[m[:v - 1] + (m[v - 1] + k - 1,) + m[v:]] = c
         return None  # pragma: no cover
@@ -350,8 +413,8 @@ class Polynomial:
         pad = target_arity - self.arity - offset
         pre = (0,) * offset
         post = (0,) * pad
-        return Polynomial(target_arity,
-                          {pre + m + post: c for m, c in self.terms.items()})
+        return _poly(target_arity, self.content,
+                     {pre + m + post: c for m, c in self.ints.items()})
 
     # -- output
 
@@ -359,7 +422,7 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda mc: (sum(mc[0]), mc[0]))
 
     def text(self):
-        if not self.terms:
+        if not self.ints:
             return "0"
         parts = []
         for m, c in self.sorted_terms():
@@ -372,10 +435,48 @@ class Polynomial:
         return "Polynomial(%d, %s)" % (self.arity, self.text())
 
 
-def _accumulate(out, terms):
-    """out += terms in place, dropping monomials that cancel."""
+def _split(values):
+    """(content, ints) with values = content * ints for a collection of
+    rationals: the content is the gcd of the numerators over the lcm of
+    the denominators (0 when every value is 0) and ints is a list of
+    integers with gcd 1."""
+    den = lcm(*(c.denominator for c in values))
+    ints = [c.numerator * (den // c.denominator) for c in values]
+    g = gcd(*ints)
+    if g == 0:
+        return ZERO, ints
+    if g != 1:
+        ints = [c // g for c in ints]
+    return (ONE if g == den else QQ(g, den)), ints
+
+
+def _poly(arity, content, ints):
+    """The polynomial content * ints, trusting that the content is
+    positive and the nonzero ints have gcd 1 (content 1 when empty)."""
+    p = Polynomial.__new__(Polynomial)
+    p.arity = arity
+    p.content = content
+    p.ints = ints
+    return p
+
+
+def _primitive(arity, content, ints):
+    """The polynomial content * ints for a positive content and any
+    nonzero ints: the gcd of the ints moves into the content."""
+    if not ints:
+        return Polynomial(arity)
+    g = gcd(*ints.values())
+    if g != 1:
+        ints = {m: c // g for m, c in ints.items()}
+        content *= g
+    return _poly(arity, content, ints)
+
+
+def _accumulate(out, ints, k=1):
+    """out += k * ints in place, dropping monomials that cancel."""
     get = out.get
-    for m, c in terms.items():
+    items = ints.items() if k == 1 else ((m, k * c) for m, c in ints.items())
+    for m, c in items:
         old = get(m)
         if old is None:
             out[m] = c
@@ -387,25 +488,47 @@ def _accumulate(out, terms):
                 del out[m]
 
 
-def _horner(terms, arity, images, target_arity):
-    """Affine substitution by Horner's scheme in the last source variable:
-    (..(p_top*img + p_(top-1))*img + ..)*img + p_0, recursing into the
-    layers p_k."""
+def _times_form(ints, form):
+    """ints * (form[0] + form[1]*x1 + ..) for an integer form."""
+    out = {}
+    get = out.get
+    for i, ci in enumerate(form):
+        if not ci:
+            continue
+        pos = i - 1
+        for m, c in ints.items():
+            mm = m[:pos] + (m[pos] + 1,) + m[pos + 1:] if pos >= 0 else m
+            old = get(mm)
+            if old is None:
+                out[mm] = ci * c
+            else:
+                s = old + ci * c
+                if s:
+                    out[mm] = s
+                else:
+                    del out[mm]
+    return out
+
+
+def _horner(ints, arity, images, target_arity):
+    """Affine substitution of integer images by Horner's scheme in the
+    last source variable: (..(p_top*img + p_(top-1))*img + ..)*img + p_0,
+    recursing into the layers p_k."""
     if arity == 0:
-        return {(0,) * target_arity: c for c in terms.values()}
+        return {(0,) * target_arity: c for c in ints.values()}
     layers = {}
-    for m, c in terms.items():
+    for m, c in ints.items():
         layers.setdefault(m[-1], {})[m[:-1]] = c
     img = images[arity - 1]
-    result = Polynomial(target_arity)
+    result = {}
     for k in range(max(layers), -1, -1):
-        if result.terms:
-            result = result.mul_form(img)
+        if result:
+            result = _times_form(result, img)
         layer = layers.get(k)
         if layer:
-            _accumulate(result.terms, _horner(layer, arity - 1, images,
-                                              target_arity))
-    return result.terms
+            _accumulate(result, _horner(layer, arity - 1, images,
+                                        target_arity))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -421,37 +544,21 @@ def _form_pivot(form):
 
 
 def form_normalize(coeffs):
-    """Canonicalize an affine form given as rational coefficients.
+    """Canonicalize an affine form given as rational or integer coefficients.
 
     Returns (scalar, form) with scalar a rational and form a primitive
     integer tuple whose highest-index nonzero entry is positive, so that
     input = scalar * form.  Returns (0, None) for the zero form and
     (c, ()) for the nonzero constant c.
     """
-    coeffs = [rat(c) for c in coeffs]
-    if all(c == 0 for c in coeffs):
+    scalar, ints = _split(coeffs)
+    if not scalar:
         return ZERO, None
-    den_lcm = 1
-    for c in coeffs:
-        q = int(c.denominator)
-        den_lcm = den_lcm * q // gcd(den_lcm, q)
-    ints = [int(c * den_lcm) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    pivot = 0
-    for i in range(len(ints) - 1, 0, -1):
-        if ints[i]:
-            pivot = i
-            break
-    if pivot == 0:
-        return QQ(ints[0] * g, den_lcm), ()
-    sign = 1
-    if ints[pivot] < 0:
-        sign = -1
-        ints = [-v for v in ints]
-    return QQ(sign * g, den_lcm), tuple(ints)
+    if not any(ints[1:]):
+        return scalar * ints[0], ()
+    if ints[_form_pivot(ints)] < 0:
+        return -scalar, tuple(-v for v in ints)
+    return scalar, tuple(ints)
 
 
 def linear_form(a, b, arity):
@@ -505,7 +612,7 @@ def form_substitute(form, images, target_arity):
     images[i-1] is the coefficient tuple (c0, c1, .., cD) of the image of
     x_i.  Returns (scalar, canonical form or None).
     """
-    out = [rat(form[0])] + [ZERO] * target_arity
+    out = [form[0]] + [0] * target_arity
     for i in range(1, len(form)):
         if not form[i]:
             continue
@@ -516,19 +623,20 @@ def form_substitute(form, images, target_arity):
 
 
 def var_vector(arity, i, negate=False):
-    vec = [ZERO] * (arity + 1)
+    """Integer coefficient tuple of x_i (or -x_i; i = 0 gives 0)."""
+    vec = [0] * (arity + 1)
     if i:
-        vec[i] = -ONE if negate else ONE
+        vec[i] = -1 if negate else 1
     return tuple(vec)
 
 
 def diff_vector(arity, i, j):
-    """Coefficient tuple of x_i - x_j in the target ring (0 means absent)."""
-    vec = [ZERO] * (arity + 1)
+    """Integer coefficient tuple of x_i - x_j (0 means absent)."""
+    vec = [0] * (arity + 1)
     if i:
-        vec[i] += ONE
+        vec[i] += 1
     if j:
-        vec[j] -= ONE
+        vec[j] -= 1
     return tuple(vec)
 
 
@@ -796,14 +904,14 @@ class RationalFunction:
 
     def drop_variable(self, i):
         """Remove an unused variable slot, renumbering higher slots down."""
-        for m in self.num.terms:
+        for m in self.num.ints:
             if m[i - 1]:
                 raise ArityMismatch("x%d appears in the numerator" % i)
         for f in self.den:
             if f[i]:
                 raise ArityMismatch("x%d appears in a denominator form" % i)
-        num = Polynomial(self.arity - 1,
-                         {m[:i - 1] + m[i:]: c for m, c in self.num.terms.items()})
+        num = _poly(self.arity - 1, self.num.content,
+                    {m[:i - 1] + m[i:]: c for m, c in self.num.ints.items()})
         den = {f[:i] + f[i + 1:]: k for f, k in self.den.items()}
         return RationalFunction(self.arity - 1, num, den)
 
@@ -874,12 +982,18 @@ class RationalFunction:
         arity = data["arity"]
         terms = {}
         for p, q, exps in data["num"]:
+            if not (type(p) is int and type(q) is int and p and q):
+                raise ParseError("coefficient %r/%r is not a ratio of nonzero "
+                                 "integers" % (p, q))
             if len(exps) != arity:
                 raise ParseError("exponent tuple of wrong length")
+            if not all(type(e) is int and e >= 0 for e in exps):
+                raise ParseError("exponents %r are not non-negative integers"
+                                 % (exps,))
             terms[tuple(exps)] = QQ(p, q)
-        num = Polynomial(arity, {m: c for m, c in terms.items() if c != 0})
-        return cls.from_num_den(num, [linear_form(a, b, arity)
-                                      for a, b in data["den"]])
+        return cls.from_num_den(Polynomial(arity, terms),
+                                [linear_form(a, b, arity)
+                                 for a, b in data["den"]])
 
     @classmethod
     def from_json(cls, s):
@@ -890,12 +1004,12 @@ class _DivisibilityTester:
     """Modular divisibility pretest, shared by the forms tested on one
     numerator.
 
-    The coefficients are reduced mod p and the variables set to a fixed
-    point mod p.  For a pivot variable v, the numerator then collapses to
-    a one-variable polynomial sum(S_e t^e) in t = x_v; testing a form with
-    pivot v is one Horner evaluation at the t of the form's hyperplane.  A
-    nonzero value certifies non-divisibility.  The reduction waits for the
-    first form tested.
+    The integer numerator is reduced mod p and the variables set to a
+    fixed point mod p.  For a pivot variable v, the numerator then
+    collapses to a one-variable polynomial sum(S_e t^e) in t = x_v;
+    testing a form with pivot v is one Horner evaluation at the t of the
+    form's hyperplane.  A nonzero value certifies non-divisibility.  The
+    reduction waits for the first form tested.
     """
 
     __slots__ = ("poly", "point", "values", "layers")
@@ -907,19 +1021,10 @@ class _DivisibilityTester:
         self.layers = {}
 
     def _term_values(self):
-        """(monomial, its term's value mod p at the point) for each term;
-        False if p divides a denominator."""
-        inverses = {}
+        """(monomial, its term's value mod p at the point) for each term."""
+        ints = self.poly.ints
         max_deg = [0] * self.poly.arity
-        values = []
-        for m, c in self.poly.terms.items():
-            num, den = as_int_pair(c)
-            inv = inverses.get(den)
-            if inv is None:
-                if den % _P == 0:
-                    return False
-                inv = inverses[den] = pow(den, -1, _P)
-            values.append((m, num * inv))
+        for m in ints:
             for i, e in enumerate(m):
                 if e > max_deg[i]:
                     max_deg[i] = e
@@ -929,32 +1034,30 @@ class _DivisibilityTester:
             for _ in range(d):
                 row.append(row[-1] * x % _P)
             powers.append(row)
-        for j, (m, val) in enumerate(values):
+        values = []
+        for m, val in ints.items():
             for i, e in enumerate(m):
                 if e:
                     val = val * powers[i][e] % _P
-            values[j] = (m, val)
+            values.append((m, val))
         return values
 
     def _layer(self, v):
-        """[S_0, S_1, ..] mod p for the pivot x_v; None if p divides a
-        denominator."""
+        """[S_0, S_1, ..] mod p for the pivot x_v."""
         if v in self.layers:
             return self.layers[v]
         if self.values is None:
             self.values = self._term_values()
-        layer = None
-        if self.values:
-            # divide the power of x_v back out of each term's value
-            x_inv = pow(self.point[v - 1], -1, _P)
-            inv_powers = [1]
-            layer = [0]
-            for m, val in self.values:
-                e = m[v - 1]
-                while e >= len(layer):
-                    inv_powers.append(inv_powers[-1] * x_inv % _P)
-                    layer.append(0)
-                layer[e] += val * inv_powers[e]
+        # divide the power of x_v back out of each term's value
+        x_inv = pow(self.point[v - 1], -1, _P)
+        inv_powers = [1]
+        layer = [0]
+        for m, val in self.values:
+            e = m[v - 1]
+            while e >= len(layer):
+                inv_powers.append(inv_powers[-1] * x_inv % _P)
+                layer.append(0)
+            layer[e] += val * inv_powers[e]
         self.layers[v] = layer
         return layer
 
@@ -962,9 +1065,9 @@ class _DivisibilityTester:
         """False only if the form certainly does not divide."""
         v = _form_pivot(form)
         cv = form[v] % _P
-        layer = self._layer(v)
-        if layer is None or not cv:
+        if not cv:
             return True
+        layer = self._layer(v)
         acc = form[0]
         for i in range(1, len(form)):
             if i != v and form[i]:
@@ -1021,23 +1124,28 @@ def _common_den(values):
 
 
 def _over(v, common):
-    """Numerator of v written over the common denominator."""
-    return v.num.mul_forms(f for f, k in common.items()
-                           for _ in range(k - v.den.get(f, 0)))
+    """Integer numerator of v written over the common denominator: v's
+    numerator over it is v.num.content times these ints."""
+    ints = v.num.ints
+    for f, k in common.items():
+        for _ in range(k - v.den.get(f, 0)):
+            ints = _times_form(ints, f)
+    return ints
 
 
 def rf_sum_a(arity, values):
     values = [v for v in values if not v.is_zero()]
     if not values:
         return RationalFunction.zero(arity)
+    if any(v.arity != arity for v in values):
+        raise ArityMismatch("mixed arities in sum")
     common = _common_den(values)
+    content, factors = _split([v.num.content for v in values])
     total = {}
-    for v in values:
-        if v.arity != arity:
-            raise ArityMismatch("mixed arities in sum")
-        _accumulate(total, _over(v, common).terms)
-    return RationalFunction._normalized(arity, Polynomial(arity, total),
-                                        dict(common))
+    for v, k in zip(values, factors):
+        _accumulate(total, _over(v, common), k)
+    return RationalFunction._normalized(
+        arity, _primitive(arity, content, total), dict(common))
 
 
 def coefficient_rows(values):
@@ -1049,11 +1157,12 @@ def coefficient_rows(values):
     values_i.  The sum vanishes exactly when c is orthogonal to every row.
     """
     common = _common_den(values)
-    cleared = [_over(v, common).terms for v in values]
+    cleared = [(v.num.content, _over(v, common)) for v in values]
     monos = set()
-    for terms in cleared:
-        monos.update(terms)
-    return [[terms.get(m, ZERO) for terms in cleared] for m in sorted(monos)]
+    for _, ints in cleared:
+        monos.update(ints)
+    return [[c * ints[m] if m in ints else ZERO for c, ints in cleared]
+            for m in sorted(monos)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,12 @@
 """Exact rational scalars.
 
-All coefficients in this package are arbitrary-precision rationals.  We use
-gmpy2.mpq when available (it is considerably faster than the stdlib), and
-fall back to fractions.Fraction otherwise.  Code elsewhere should construct
-scalars through ``rat`` and never mix the two backends.
+All coefficients in this package are arbitrary-precision rationals of the
+standard library's ``fractions.Fraction``, named ``QQ`` here.  Polynomials
+keep one rational content each and integer coefficients (see ``ratfun``),
+so a scalar operation runs once per polynomial rather than once per term.
 """
 
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as QQ
+from fractions import Fraction as QQ
 
 ZERO = QQ(0)
 ONE = QQ(1)

@@ -1,0 +1,45 @@
+"""Bit-for-bit guard: the cheapest benchmark task of each workload must
+reproduce the output digest recorded in perfbench/expected.json.
+
+The benchmark module is compiled from its source and nothing is written
+under perfbench/ (no bytecode cache, no change to expected.json).
+"""
+
+import json
+import types
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+TASKS = (
+    ("combo", 3, "1/2", "-2/3"),   # verify
+    ("sigma", 5, "psi"),           # decompose
+    ("ls", 2, 14, False),          # dims
+)
+
+
+def _workloads():
+    path = BENCH / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _workloads()
+
+
+@pytest.fixture(scope="module")
+def expected():
+    return json.loads((BENCH / "expected.json").read_text())["tasks"]
+
+
+@pytest.mark.parametrize("task", TASKS, ids=lambda t: ":".join(map(str, t)))
+def test_task_digest_matches_the_recording(workloads, expected, task):
+    text, passed = workloads.run_task(task)
+    assert passed
+    assert workloads.digest(text) == expected[workloads.task_key(task)]

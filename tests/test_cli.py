@@ -96,6 +96,14 @@ class TestBracketRes:
                                 "--depth", "3")
         assert_usage_error(code, out, err)
 
+    def test_res_zero_denominator(self, capsys, tmp_path):
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps({"max_depth": 1, "components": {
+            "1": {"arity": 1, "num": [[1, 0, [1]]], "den": []}}}))
+        code, out, err = invoke(capsys, "res", "--element", str(path),
+                                "--depth", "1")
+        assert_usage_error(code, out, err)
+
 
 def assert_usage_error(code, out, err):
     """Exit 2, nothing on stdout, one error line on stderr."""

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
@@ -265,10 +267,23 @@ class TestKernelOracles:
         x1 = Polynomial.variable(2, 1)
         assert x1.mul_form(f).divide_form(f) == x1
 
-    def test_pretest_defers_when_p_divides_a_denominator(self):
+    def test_pretest_rejects_when_p_divides_a_denominator(self):
+        # 1/p + x1 has the integer numerator 1 + p*x1, which is 1 - p at
+        # x1 = -1: nonzero mod p, so x1 + 1 certainly does not divide
         p = (1 << 61) - 1
         num = Polynomial(1, {(0,): QQ(1, p), (1,): QQ(1)})
-        assert _DivisibilityTester(num).may_divide((1, 1))
+        assert not _DivisibilityTester(num).may_divide((1, 1))
+        assert num.divide_form((1, 1)) is None
+
+    def test_division_rejects_an_odd_layer_of_a_non_monic_pivot(self):
+        # (p + 2)*x2 - x1 is 2*x2 - x1 mod p, so the pretest passes; the
+        # exact division stops at its top layer, p + 2, which the pivot
+        # coefficient 2 does not divide
+        p = (1 << 61) - 1
+        num = Polynomial(2, {(0, 1): QQ(p + 2), (1, 0): QQ(-1)})
+        form = (0, -1, 2)
+        assert _DivisibilityTester(num).may_divide(form)
+        assert num.divide_form(form) is None
 
 
 @st.composite
@@ -396,6 +411,152 @@ class TestNormalizationOracle:
         assert g.num == Polynomial.const(3, 1)
 
 
+def assert_canonical(p):
+    """content * ints with a positive rational content and nonzero int
+    terms of gcd 1; zero is content 1 with no terms."""
+    assert type(p.content) is QQ and p.content > 0
+    assert all(type(c) is int and c for c in p.ints.values())
+    if p.ints:
+        assert gcd(*p.ints.values()) == 1
+    else:
+        assert p.content == 1
+
+
+def check(p, reference):
+    """p is canonical and its rational view equals the reference dict."""
+    assert_canonical(p)
+    assert dict(p.terms.items()) == reference
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_form(arity, form):
+    out = {(0,) * arity: QQ(form[0])}
+    for i in range(1, arity + 1):
+        out[tuple(int(j == i - 1) for j in range(arity))] = QQ(form[i])
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_substitute(a, images, target):
+    total = {}
+    for m, c in a.items():
+        term = {(0,) * target: c}
+        for img, e in zip(images, m):
+            for _ in range(e):
+                term = ref_mul(term, ref_form(target, img))
+        total = ref_add(total, term)
+    return total
+
+
+@st.composite
+def sharing_polynomials(draw, arity):
+    """Polynomials whose coefficients often share a factor, so that sums
+    and derivatives change the gcd of the integer terms."""
+    return draw(polynomials(arity)).scale(
+        draw(st.sampled_from((1, 2, 3, 6, QQ(1, 2), QQ(-4, 9)))))
+
+
+class TestRepresentation:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_ring_kernels(self, data):
+        arity = data.draw(st.integers(1, 3))
+        p = data.draw(sharing_polynomials(arity))
+        q = data.draw(sharing_polynomials(arity))
+        a, b = dict(p.terms.items()), dict(q.terms.items())
+        check(p + q, ref_add(a, b))
+        check(p - p, {})
+        check(p - q, ref_add(a, {m: -c for m, c in b.items()}))
+        check(p * q, ref_mul(a, b))
+        check(-p, {m: -c for m, c in a.items()})
+        c = data.draw(st.one_of(st.integers(-4, 4), small_rat))
+        check(p.scale(c), {m: c * v for m, v in a.items() if c})
+        i = data.draw(st.integers(1, arity))
+        check(p.derivative(i), {m[:i - 1] + (m[i - 1] - 1,) + m[i:]: c * m[i - 1]
+                                for m, c in a.items() if m[i - 1]})
+        forms = [tuple(data.draw(st.one_of(st.integers(-3, 3), small_rat))
+                       for _ in range(arity + 1)) for _ in range(2)]
+        check(p.mul_form(forms[0]), ref_mul(a, ref_form(arity, forms[0])))
+        check(p.mul_forms(forms), ref_mul(ref_mul(a, ref_form(arity, forms[0])),
+                                          ref_form(arity, forms[1])))
+        offset = data.draw(st.integers(0, 2))
+        check(p.extended(arity + offset + 1, offset),
+              {(0,) * offset + m + (0,): c for m, c in a.items()})
+        parts = p.homogeneous_parts()
+        for d, part in parts.items():
+            check(part, {m: c for m, c in a.items() if sum(m) == d})
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_substitution_kernels(self, data):
+        arity = data.draw(st.integers(1, 3))
+        p = data.draw(sharing_polynomials(arity))
+        target, images = data.draw(affine_images(arity))
+        check(p.substitute_affine(images, target),
+              ref_substitute(dict(p.terms.items()), images, target))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_division(self, data):
+        arity = data.draw(st.integers(1, 3))
+        q = data.draw(sharing_polynomials(arity))
+        coeffs = [data.draw(st.integers(-3, 3)) for _ in range(arity + 1)]
+        assume(any(coeffs[1:]))
+        _, form = form_normalize(coeffs)
+        check(q.mul_form(form).divide_form(form), dict(q.terms.items()))
+        p = q + data.draw(sharing_polynomials(arity))
+        quotient = p.divide_form(form)
+        if quotient is not None:
+            check(quotient.mul_form(form), dict(p.terms.items()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_rational_function_kernels(self, data):
+        arity = data.draw(st.integers(1, 3))
+        f = data.draw(reducible_functions(arity))
+        g = data.draw(reducible_functions(arity))
+        point = tuple(data.draw(point_rat) for _ in range(arity))
+        for h in (f + g, f * g, rf_sum_a(arity, [f, g, f.scale(2)])):
+            assert_canonical(h.num)
+        # both round trips are lossless
+        for h in (RationalFunction.from_json(f.to_json()),
+                  parse(f.text(), arity=arity)):
+            assert_canonical(h.num)
+            assert h.num == f.num and h.den == f.den
+        assert_value(f + g, lambda x: f.evaluate(x) + g.evaluate(x), point)
+        assert_value(f * g, lambda x: f.evaluate(x) * g.evaluate(x), point)
+        # residue along x_a = x_b: (x_a - x_b) f restricted to x_a = x_b
+        a = data.draw(st.integers(1, arity))
+        b = data.draw(st.integers(0, a - 1))
+        form = linear_form(a, b, arity)
+        assume(f.pole_order(form) <= 1)
+        res = f.residue(a, b)
+        assert_canonical(res.num)
+        on = point[:a - 1] + ((point[b - 1] if b else QQ(0)),) + point[a:]
+        cleared = f * RationalFunction.from_poly(
+            Polynomial.const(arity, 1).mul_form(form))
+        assert_value(res, lambda x: cleared.evaluate(on), point)
+        if arity > 1 and not res.is_zero():
+            dropped = res.drop_variable(a)
+            assert_canonical(dropped.num)
+            assert_value(dropped, lambda _: res.evaluate(point),
+                         point[:a - 1] + point[a:])
+
+
 class TestResidue:
     def test_simple_pole_at_zero(self):
         assert rf("1/(x1)").residue(1).equals(RationalFunction.const(1, 1))
@@ -501,6 +662,19 @@ class TestSerialization:
         assert data["arity"] == 2
         assert data["den"] == [[1, 0], [2, 1]]
         assert data["num"] == [[1, 1, [0, 0]]]
+
+    @pytest.mark.parametrize("term", [
+        [1, 0, [1, 2]], [0, 1, [1, 2]], [True, 1, [1, 2]], [1, 2.0, [1, 2]],
+        [1, 1, [-1, 2]],     # printed as x1^-1x2^2, which does not parse
+        [1, 1, [1.5, 2]],    # printed as x1^1x2^2, losing the input
+        [1, 1, [False, 2]],
+    ], ids=["zero-denominator", "zero-numerator", "bool-numerator",
+            "float-denominator", "negative-exponent", "float-exponent",
+            "bool-exponent"])
+    def test_json_rejects_bad_terms(self, term):
+        with pytest.raises(ParseError):
+            RationalFunction.from_json_dict(
+                {"arity": 2, "num": [term], "den": []})
 
     def test_parse_rejects_x0(self):
         with pytest.raises(ParseError):
