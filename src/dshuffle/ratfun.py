@@ -68,6 +68,24 @@ Kernels:
     integer terms have no denominator for p to divide.  The pretest only
     decides whether an exact division is attempted, never its outcome, so
     it cannot change a result.
+  * After a successful division the quotient's pretest is derived from
+    the dividend's instead of reducing the quotient's terms again: the
+    dividend's integer terms are the form times the quotient's, so each
+    cached layer is divided by the form restricted to the layer's line
+    (synthetic division by a + b*t mod p), and a layer computed later
+    gets the same divisions.  A restriction that loses its degree mod p
+    falls back to the quotient's own terms.
+  * Normalization tries only the forms that can divide, by two structural
+    certificates.  They rely on every stored value being normalized, so
+    no trusted constructor may skip a division that could succeed.
+    Sum: a form whose top multiplicity in the common denominator belongs
+    to one summand only cannot divide the summed numerator.  Modulo the
+    form every other summand carries a factor of it, and the holder's
+    numerator times the other, non-proportional forms is not divisible
+    by it, since the holder is normalized and the form is prime.
+    Product: a normalized factor's numerator is divisible by none of its
+    own forms, so it is divided only by the other factor's forms that it
+    does not share.
 """
 
 from __future__ import annotations
@@ -672,10 +690,12 @@ class RationalFunction:
         return cls._normalized(arity, num, counts)
 
     @classmethod
-    def _normalized(cls, arity, num, counts):
+    def _normalized(cls, arity, num, counts, forms=None):
+        """num over counts, divided by each form of counts (or only by
+        those of forms, when no other form can divide num)."""
         if num.is_zero():
             return cls(arity, num, {})
-        num = _cancel(num, counts)
+        num = _cancel(num, counts, forms)
         return cls(arity, num, {f: k for f, k in counts.items() if k > 0})
 
     # -- constructors
@@ -764,13 +784,17 @@ class RationalFunction:
         self._check(other)
         # a form divides the product numerator iff it divides one factor
         # (linear forms cut irreducible hyperplanes), so cancellation can be
-        # settled factor by factor before multiplying
+        # settled factor by factor before multiplying; a normalized factor
+        # can only be divided by the other factor's forms
         if self.is_zero() or other.is_zero():
             return RationalFunction.zero(self.arity)
         counts = dict(self.den)
         for f, k in other.den.items():
             counts[f] = counts.get(f, 0) + k
-        num = _cancel(self.num, counts) * _cancel(other.num, counts)
+        num = (_cancel(self.num, counts,
+                       [f for f in other.den if f not in self.den])
+               * _cancel(other.num, counts,
+                         [f for f in self.den if f not in other.den]))
         return RationalFunction(self.arity, num,
                                 {f: k for f, k in counts.items() if k > 0})
 
@@ -778,7 +802,8 @@ class RationalFunction:
         """Divide by the form (adds to the denominator, then normalizes)."""
         counts = dict(self.den)
         counts[form] = counts.get(form, 0) + 1
-        return RationalFunction._normalized(self.arity, self.num, counts)
+        return RationalFunction._normalized(self.arity, self.num, counts,
+                                            (form,))
 
     def equals(self, other):
         self._check(other)
@@ -794,17 +819,26 @@ class RationalFunction:
 
     def partial(self, i):
         """Exact partial derivative with respect to x_i."""
-        pieces = [RationalFunction(self.arity, self.num.derivative(i),
-                                   dict(self.den))]
+        # each piece of a form involving x_i raises that form's
+        # multiplicity over the normalized numerator, so is normalized
+        pieces = []
         for f, k in self.den.items():
             ci = f[i]
             if not ci:
                 continue
             counts = dict(self.den)
             counts[f] = k + 1
-            pieces.append(RationalFunction._normalized(
+            pieces.append(RationalFunction(
                 self.arity, self.num.scale(-k * ci), counts))
-        return rf_sum_a(self.arity, pieces)
+        # the derivative of the numerator over the same denominator need
+        # not be normalized; in a sum with those pieces it shares the top
+        # multiplicity of every form it may be divided by
+        derivative = self.num.derivative(i)
+        if not pieces:
+            return RationalFunction._normalized(self.arity, derivative,
+                                                dict(self.den))
+        return rf_sum_a(self.arity, [RationalFunction(
+            self.arity, derivative, dict(self.den))] + pieces)
 
     def nabla(self):
         """Sum of all partial derivatives."""
@@ -837,9 +871,10 @@ class RationalFunction:
         m = self.den.get(form, 0)
         if m == 0:
             return RationalFunction.zero(self.arity)
-        counts = dict(self.den)
-        counts[form] = 0
-        cleared = RationalFunction._normalized(self.arity, self.num, counts)
+        # num stays normalized against the remaining forms
+        cleared = RationalFunction(self.arity, self.num,
+                                   {f: k for f, k in self.den.items()
+                                    if f != form})
         for _ in range(m - 1):
             cleared = cleared.partial(a)
         return cleared.residue_free_subs(a, b).scale(QQ(1, factorial(m - 1)))
@@ -856,9 +891,9 @@ class RationalFunction:
             raise PoleOrderError("pole order %d > 2" % k)
         if k < 2:
             return RationalFunction.zero(self.arity)
-        counts = dict(self.den)
-        counts[form] = 0
-        shifted = RationalFunction._normalized(self.arity, self.num, counts)
+        shifted = RationalFunction(self.arity, self.num,
+                                   {f: k for f, k in self.den.items()
+                                    if f != form})
         return shifted.residue_free_subs(a, b)
 
     def residue_free_subs(self, a, b):
@@ -935,12 +970,19 @@ class RationalFunction:
         return num
 
     def homogeneous_parts(self):
-        """dict degree -> RationalFunction (degree = num part deg - den deg)."""
+        """dict degree -> normalized RationalFunction (degree = num part
+        deg - den deg)."""
         if any(f[0] for f in self.den):
             raise ValueError("inhomogeneous denominator form")
         dd = self.den_degree()
-        return {d - dd: RationalFunction(self.arity, p, dict(self.den))
-                for d, p in self.num.homogeneous_parts().items()}
+        parts = self.num.homogeneous_parts()
+        if len(parts) == 1:
+            return {d - dd: RationalFunction(self.arity, p, dict(self.den))
+                    for d, p in parts.items()}
+        # a part of the numerator may be divisible by a form
+        return {d - dd: RationalFunction._normalized(self.arity, p,
+                                                     dict(self.den))
+                for d, p in parts.items()}
 
     # -- serialization
 
@@ -990,6 +1032,8 @@ class RationalFunction:
             if not all(type(e) is int and e >= 0 for e in exps):
                 raise ParseError("exponents %r are not non-negative integers"
                                  % (exps,))
+            if tuple(exps) in terms:
+                raise ParseError("exponents %r appear in two terms" % (exps,))
             terms[tuple(exps)] = QQ(p, q)
         return cls.from_num_den(Polynomial(arity, terms),
                                 [linear_form(a, b, arity)
@@ -1006,18 +1050,23 @@ class _DivisibilityTester:
 
     The integer numerator is reduced mod p and the variables set to a
     fixed point mod p.  For a pivot variable v, the numerator then
-    collapses to a one-variable polynomial sum(S_e t^e) in t = x_v;
-    testing a form with pivot v is one Horner evaluation at the t of the
-    form's hyperplane.  A nonzero value certifies non-divisibility.  The
-    reduction waits for the first form tested.
+    collapses to a one-variable polynomial sum(S_e t^e) in t = x_v, its
+    layer; testing a form with pivot v is one Horner evaluation at the t
+    of the form's hyperplane.  A nonzero value certifies non-divisibility.
+    The reduction waits for the first form tested.
+
+    The tester of an exact quotient is derived from its dividend's (see
+    quotient): then values holds the term values of an earlier numerator
+    and divisors the forms that numerator has since been divided by.
     """
 
-    __slots__ = ("poly", "point", "values", "layers")
+    __slots__ = ("poly", "point", "values", "divisors", "layers")
 
     def __init__(self, poly):
         self.poly = poly
         self.point = [(i + 1) * _STEP % _P for i in range(poly.arity)]
         self.values = None
+        self.divisors = ()
         self.layers = {}
 
     def _term_values(self):
@@ -1042,12 +1091,8 @@ class _DivisibilityTester:
             values.append((m, val))
         return values
 
-    def _layer(self, v):
-        """[S_0, S_1, ..] mod p for the pivot x_v."""
-        if v in self.layers:
-            return self.layers[v]
-        if self.values is None:
-            self.values = self._term_values()
+    def _collapse(self, v):
+        """The layer [S_0, S_1, ..] mod p of self.values for the pivot x_v."""
         # divide the power of x_v back out of each term's value
         x_inv = pow(self.point[v - 1], -1, _P)
         inv_powers = [1]
@@ -1058,37 +1103,102 @@ class _DivisibilityTester:
                 inv_powers.append(inv_powers[-1] * x_inv % _P)
                 layer.append(0)
             layer[e] += val * inv_powers[e]
+        return [s % _P for s in layer]
+
+    def _layer(self, v):
+        """The layer of the numerator for the pivot x_v."""
+        layer = self.layers.get(v)
+        if layer is not None:
+            return layer
+        if self.values is None:
+            self.values = self._term_values()
+        layer = self._collapse(v)
+        for form in self.divisors:
+            layer = _divide_layer(layer, *self._restriction(form, v))
+            if layer is None:
+                # a divisor degenerates mod p on this line: start again
+                # from the numerator's own terms
+                self.values, self.divisors = self._term_values(), ()
+                layer = self._collapse(v)
+                break
         self.layers[v] = layer
         return layer
+
+    def _restriction(self, form, v):
+        """(a, b) with form = a + b*t on the line of the pivot x_v."""
+        a = form[0]
+        for i in range(1, len(form)):
+            if i != v and form[i]:
+                a += form[i] * self.point[i - 1]
+        return a, form[v]
 
     def may_divide(self, form):
         """False only if the form certainly does not divide."""
         v = _form_pivot(form)
-        cv = form[v] % _P
-        if not cv:
+        a, b = self._restriction(form, v)
+        if not b % _P:
             return True
         layer = self._layer(v)
-        acc = form[0]
-        for i in range(1, len(form)):
-            if i != v and form[i]:
-                acc += form[i] * self.point[i - 1]
-        t = -acc * pow(cv, -1, _P) % _P
+        t = -a * pow(b, -1, _P) % _P
         total = 0
         for s in reversed(layer):
             total = (total * t + s) % _P
         return total == 0
 
+    def quotient(self, q, form):
+        """The tester of q = poly / form, an exact quotient.
 
-def _cancel(num, counts):
-    """Divide the nonzero num by each form of counts while the form
-    divides it, lowering counts in place; returns the quotient."""
+        poly's integer terms are form times q's (Gauss's lemma), so each
+        layer of q is poly's layer divided by the form restricted to the
+        layer's line; layers computed later get the same divisions.
+        """
+        if self.values is None:
+            return _DivisibilityTester(q)
+        out = _DivisibilityTester.__new__(_DivisibilityTester)
+        out.poly = q
+        out.point = self.point
+        out.values = self.values
+        out.divisors = self.divisors + (form,)
+        out.layers = {}
+        for v, layer in self.layers.items():
+            layer = _divide_layer(layer, *self._restriction(form, v))
+            if layer is None:
+                return _DivisibilityTester(q)
+            out.layers[v] = layer
+        return out
+
+
+def _divide_layer(layer, a, b):
+    """The exact quotient layer / (a + b*t) mod p; None when a + b*t does
+    not keep its degree mod p."""
+    if not b:
+        if not a % _P:
+            return None
+        inv = pow(a, -1, _P)
+        return [s * inv % _P for s in layer]
+    if not b % _P:
+        return None
+    # synthetic division: S_e = a*Q_e + b*Q_(e-1), from the top down
+    inv = pow(b, -1, _P)
+    out = [0] * (len(layer) - 1)
+    q = 0
+    for e in range(len(layer) - 1, 0, -1):
+        q = (layer[e] - a * q) * inv % _P
+        out[e - 1] = q
+    return out
+
+
+def _cancel(num, counts, forms=None):
+    """Divide the nonzero num by each form of counts (or only by those of
+    forms) while the form divides it, lowering counts in place; returns
+    the quotient."""
     tester = _DivisibilityTester(num)
-    for f in sorted(counts):
+    for f in sorted(counts if forms is None else forms):
         while counts[f] > 0:
             q = num.divide_form(f, tester)
             if q is None:
                 break
-            num, tester = q, _DivisibilityTester(q)
+            num, tester = q, tester.quotient(q, f)
             counts[f] -= 1
     return num
 
@@ -1140,12 +1250,20 @@ def rf_sum_a(arity, values):
     if any(v.arity != arity for v in values):
         raise ArityMismatch("mixed arities in sum")
     common = _common_den(values)
+    # a form held at its top multiplicity by one summand only cannot
+    # divide the sum (see the module docstring)
+    holders = dict.fromkeys(common, 0)
+    for v in values:
+        for f, k in v.den.items():
+            if k == common[f]:
+                holders[f] += 1
     content, factors = _split([v.num.content for v in values])
     total = {}
     for v, k in zip(values, factors):
         _accumulate(total, _over(v, common), k)
     return RationalFunction._normalized(
-        arity, _primitive(arity, content, total), dict(common))
+        arity, _primitive(arity, content, total), dict(common),
+        [f for f, n in holders.items() if n > 1])
 
 
 def coefficient_rows(values):

@@ -16,6 +16,7 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TASKS = (
     ("combo", 3, "1/2", "-2/3"),   # verify
     ("sigma", 5, "psi"),           # decompose
+    ("chi_q4", 5),                 # decompose, with the Q4 counterterm
     ("ls", 2, 14, False),          # dims
 )
 

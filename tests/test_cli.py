@@ -104,6 +104,16 @@ class TestBracketRes:
                                 "--depth", "1")
         assert_usage_error(code, out, err)
 
+    def test_res_repeated_exponents(self, capsys, tmp_path):
+        # two terms on x1 would otherwise read as 5*x1
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({"max_depth": 1, "components": {
+            "1": {"arity": 1, "num": [[1, 1, [1]], [5, 1, [1]]],
+                  "den": []}}}))
+        code, out, err = invoke(capsys, "res", "--element", str(path),
+                                "--depth", "1")
+        assert_usage_error(code, out, err)
+
 
 def assert_usage_error(code, out, err):
     """Exit 2, nothing on stdout, one error line on stderr."""

@@ -10,6 +10,7 @@ from dshuffle.ratfun import (ArityMismatch, ParseError, PoleOrderError,
                              coefficient_rows, form_normalize, linear_form,
                              parse, rf_sum_a, var_vector)
 from dshuffle.gens import psi_zero_component, s_d
+from dshuffle.series import ihara_action_component
 
 from conftest import make_rng, mono, random_rf
 
@@ -411,6 +412,139 @@ class TestNormalizationOracle:
         assert g.num == Polynomial.const(3, 1)
 
 
+@st.composite
+def pole_sharing_sums(draw, arity):
+    """Two to four normalized summands.  Two of them have a pole of one
+    order along a difference form and numerators that agree modulo it, so
+    that a power of the form cancels, or poles of different orders, so
+    that the higher one holds it alone; up to two random summands join
+    them."""
+    pairs = [(a, b) for a in range(1, arity + 1) for b in range(a)]
+    f = linear_form(*draw(st.sampled_from(pairs)), arity)
+    k = draw(st.integers(1, 2))
+    a, b = draw(polynomials(arity)), draw(polynomials(arity))
+    first = RationalFunction.from_num_den(a, {f: k})
+    if draw(st.booleans()):
+        # a/f^k + (b*f - a)/f^k = b/f^(k-1)
+        second = RationalFunction.from_num_den(b.mul_form(f) - a, {f: k})
+    else:
+        second = RationalFunction.from_num_den(b, {f: k + 1})
+    others = draw(st.lists(rational_functions(arity), max_size=2))
+    return draw(st.permutations([first, second] + others))
+
+
+def _sympy_rf(g, xs):
+    den = sympy.prod([(f[0] + sum(c * x for c, x in zip(f[1:], xs))) ** k
+                      for f, k in g.den.items()])
+    return _sympy_poly(g.num, xs), den
+
+
+def assert_cancel_agrees(g, expr):
+    """g is the value of expr in lowest terms, as sympy.cancel finds it."""
+    xs = sympy.symbols("x1:%d" % (g.arity + 1))
+    num, den = sympy.fraction(sympy.cancel(expr(xs)))
+    g_num, g_den = _sympy_rf(g, xs)
+    assert sympy.expand(g_num * den - num * g_den) == 0
+    assert sympy.Poly(den, *xs).total_degree() == g.den_degree()
+
+
+class TestCancellation:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_sum_agrees_with_sympy_cancel(self, data):
+        arity = data.draw(st.integers(1, 3))
+        values = data.draw(pole_sharing_sums(arity))
+
+        def expr(xs):
+            return sympy.Add(*(num / den for num, den in
+                               (_sympy_rf(v, xs) for v in values)))
+        assert_cancel_agrees(rf_sum_a(arity, values), expr)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_product_agrees_with_sympy_cancel(self, data):
+        arity = data.draw(st.integers(1, 3))
+        f = data.draw(reducible_functions(arity))
+        g = data.draw(st.one_of(reducible_functions(arity),
+                                rational_functions(arity)))
+
+        def expr(xs):
+            (fn, fd), (gn, gd) = _sympy_rf(f, xs), _sympy_rf(g, xs)
+            return fn * gn / (fd * gd)
+        assert_cancel_agrees(f * g, expr)
+
+    def test_shared_top_pole_cancels(self):
+        total = rf("(x1 + x2)/(x1)") + rf("(-1*x2)/(x1)", 2)
+        assert total.den == {}
+        assert total.num == Polynomial.const(2, 1)
+
+    def test_single_holder_keeps_its_pole(self):
+        total = rf("1/(x1*x1)") + rf("1/(x1)")
+        assert total.den == {linear_form(1, 0, 1): 2}
+        assert total.num == rf("1 + x1").num
+
+    def test_lone_derivative_is_normalized(self):
+        # d/dx2 of (x1*x2 + 1)/x1 is x1/x1, and no form involves x2
+        g = rf("(x1x2 + 1)/(x1)").partial(2)
+        assert g.den == {}
+        assert g.num == Polynomial.const(2, 1)
+
+    def test_homogeneous_parts_are_normalized(self):
+        f = rf("(x1^2 + x2)/(x1)")
+        parts = f.homogeneous_parts()
+        for part in parts.values():
+            assert_normalized(part)
+        assert parts[1].den == {} and parts[1].num == rf("x1", 2).num
+        # the Ihara action of f splits over those parts
+        g = rf("1/(x1)")
+        action = ihara_action_component(f, g)
+        assert_normalized(action)
+        assert action.equals(ihara_action_component(rf("x1", 2), g)
+                             + ihara_action_component(rf("x2/(x1)"), g))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_quotient_tester_matches_a_fresh_one(self, data):
+        arity = data.draw(st.integers(1, 3))
+        q = data.draw(polynomials(arity))
+        assume(q)
+        coeffs = [data.draw(small_rat) for _ in range(arity + 1)]
+        assume(any(coeffs[1:]))
+        _, f = form_normalize(coeffs)
+        tester = _DivisibilityTester(q.mul_form(f).mul_form(f))
+        for v in data.draw(st.sets(st.integers(1, arity))):
+            tester._layer(v)
+        # two divisions by the same form; the second tester keeps some
+        # layers derived twice and computes the others through both
+        # divisions
+        once = tester.poly.divide_form(f, tester)
+        t1 = tester.quotient(once, f)
+        twice = once.divide_form(f, t1)
+        assert twice == q
+        t2 = t1.quotient(twice, f)
+        for t in (t2, t1):
+            fresh = _DivisibilityTester(t.poly)
+            assert all(t._layer(v) == fresh._layer(v)
+                       for v in range(1, arity + 1))
+
+    def test_quotient_tester_falls_back_on_a_degenerate_line(self):
+        # x3 - x1 - x2 vanishes at the pretest point x_i = i*step, so on
+        # the line of x4 its restriction is 0 mod p
+        f = (0, -1, -1, 1, 0)
+        q = rf("x4^2 + x1x3 + 2", 4).num
+        n = q.mul_form(f)
+        for cached in ((3, 4), (3,)):
+            tester = _DivisibilityTester(n)
+            for v in cached:
+                tester._layer(v)
+            assert n.divide_form(f, tester) == q
+            derived = tester.quotient(q, f)
+            fresh = _DivisibilityTester(q)
+            assert all(derived._layer(v) == fresh._layer(v)
+                       for v in range(1, 5))
+            assert derived.divisors == ()
+
+
 def assert_canonical(p):
     """content * ints with a positive rational content and nonzero int
     terms of gcd 1; zero is content 1 with no terms."""
@@ -663,18 +797,20 @@ class TestSerialization:
         assert data["den"] == [[1, 0], [2, 1]]
         assert data["num"] == [[1, 1, [0, 0]]]
 
-    @pytest.mark.parametrize("term", [
-        [1, 0, [1, 2]], [0, 1, [1, 2]], [True, 1, [1, 2]], [1, 2.0, [1, 2]],
-        [1, 1, [-1, 2]],     # printed as x1^-1x2^2, which does not parse
-        [1, 1, [1.5, 2]],    # printed as x1^1x2^2, losing the input
-        [1, 1, [False, 2]],
+    @pytest.mark.parametrize("terms", [
+        [[1, 0, [1, 2]]], [[0, 1, [1, 2]]], [[True, 1, [1, 2]]],
+        [[1, 2.0, [1, 2]]],
+        [[1, 1, [-1, 2]]],     # printed as x1^-1x2^2, which does not parse
+        [[1, 1, [1.5, 2]]],    # printed as x1^1x2^2, losing the input
+        [[1, 1, [False, 2]]],
+        [[1, 1, [1, 0]], [5, 1, [1, 0]]],   # read as 5*x1, losing a term
     ], ids=["zero-denominator", "zero-numerator", "bool-numerator",
             "float-denominator", "negative-exponent", "float-exponent",
-            "bool-exponent"])
-    def test_json_rejects_bad_terms(self, term):
+            "bool-exponent", "repeated-exponents"])
+    def test_json_rejects_bad_terms(self, terms):
         with pytest.raises(ParseError):
             RationalFunction.from_json_dict(
-                {"arity": 2, "num": [term], "den": []})
+                {"arity": 2, "num": terms, "den": []})
 
     def test_parse_rejects_x0(self):
         with pytest.raises(ParseError):
