@@ -504,5 +504,7 @@ def generator(name, max_depth):
         return DepthSeries.single(Q4(), max_depth, weight=0)
     if name.startswith("cn:"):
         n = int(name.split(":")[1])
+        if n < 1:
+            raise ValueError("cn:N needs N >= 1, got %d" % n)
         return DepthSeries.single(c_n(n), max_depth, weight=-1)
     raise ValueError("unknown generator %r" % name)

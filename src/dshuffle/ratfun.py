@@ -7,15 +7,33 @@ affine denominators such as x_1 + x_2; those are representable here but are
 only meant to appear inside equation checking, never in stored elements.
 
 Representation:
-  * Monomial  -- exponent tuple, one entry per variable.
+  * Monomial  -- exponent tuple, one entry per variable.  This is the
+                  public form: constructors, `coefficient`, the `terms`
+                  view, `sorted_terms`, text and JSON take or give tuples.
+  * key       -- the packed form of a Monomial inside a Polynomial, one
+                  int (Monagan & Pearce, POLY: a new polynomial data
+                  structure for Maple 17, 2013).  Each variable has a
+                  16-bit field, x_1 in the most significant one, and the
+                  lowest field holds the total degree:
+                  key = sum e_i << 16*(d + 1 - i) + sum e_i.  At a fixed
+                  arity the order of keys is the lex order of the tuples
+                  (the degree field comes last and is fixed by the other
+                  fields, so it never decides), so sorting keys sorts
+                  monomials.  Overflow rule: the total degree of
+                  every stored monomial is at most _MASK = 2^16 - 1, and
+                  then so is every exponent.  A larger total degree is
+                  rejected at the boundary and by any kernel that would
+                  produce it (ExponentOverflow); a negative exponent, one
+                  that is not an int or a tuple of the wrong length is
+                  rejected at the boundary.
   * Polynomial -- content times a primitive integer polynomial, fixed
                   arity: `content` is a positive rational and `ints` a
-                  sparse dict Monomial -> nonzero int whose values have
+                  sparse dict key -> nonzero int whose values have
                   gcd 1 (the content / primitive-part split of Geddes,
                   Czapor & Labahn, Algorithms for Computer Algebra, ch. 2).
                   The split is unique, so equality compares content and
                   ints.  Zero has content 1 and no terms.  `terms` is the
-                  read-only rational view content * ints.
+                  read-only rational view content * ints over tuples.
   * forms      -- a denominator factor is a canonical integer tuple
                   (c0, c1, .., cd) meaning c0 + c1*x1 + .. + cd*xd,
                   primitive, with its highest-index nonzero entry positive.
@@ -27,6 +45,18 @@ Monomial order used for printing and serialization is graded lex:
 sort key (total degree, exponent tuple).
 
 Kernels:
+  * Kernels combine packed keys by integer arithmetic.  Multiplying by
+    x_i adds the key of x_i, unit_i = 2^(16*(d + 1 - i)) + 1 (a form
+    multiplication, a Horner step, a division carry); a product of
+    monomials is the sum of their keys; the exponent of x_i is
+    key >> 16*(d + 1 - i) & _MASK, so a layer in a pivot variable is a
+    shift and a mask; re-embedding, relabelling and dropping a variable
+    move fields.  Only a product, a form multiplication and the clearing
+    of a sum to a common denominator can raise the degree; each checks
+    the degree of its inputs first, so no field ever carries into its
+    neighbour.  Every other kernel (Horner substitution, relabelling,
+    exact division, derivative) yields terms of at most the input's
+    degree, and the total degree bounds every field.
   * Every kernel works on the integer terms; a rational operation runs
     once per polynomial, on the content.  A sum is taken over a common
     content, the gcd of the summands' content numerators over the lcm of
@@ -103,6 +133,17 @@ class ArityMismatch(ValueError):
     pass
 
 
+class ExponentOverflow(ValueError):
+    """A total degree that does not fit the fields of a packed monomial."""
+
+
+# a monomial key holds x_1 .. x_d in _W-bit fields from the most
+# significant down and its total degree in the lowest field; _MASK is one
+# field and also the largest total degree
+_W = 16
+_MASK = (1 << _W) - 1
+
+
 # the step of the divisibility pretest's fixed evaluation point
 # x_i = i * _STEP mod _P, which is nonzero
 _STEP = 0x9E3779B97F4A7C15
@@ -127,17 +168,19 @@ class ParseError(ValueError):
 class _Terms(Mapping):
     """Read-only view Monomial -> rational coefficient of a Polynomial."""
 
-    __slots__ = ("_content", "_ints")
+    __slots__ = ("_arity", "_content", "_ints")
 
-    def __init__(self, content, ints):
+    def __init__(self, arity, content, ints):
+        self._arity = arity
         self._content = content
         self._ints = ints
 
     def __getitem__(self, m):
-        return self._content * self._ints[m]
+        return self._content * self._ints[_pack(self._arity, m)]
 
     def __iter__(self):
-        return iter(self._ints)
+        arity = self._arity
+        return (_unpack(arity, k) for k in self._ints)
 
     def __len__(self):
         return len(self._ints)
@@ -145,17 +188,26 @@ class _Terms(Mapping):
 
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients,
-    stored as content * ints (see the module docstring)."""
+    stored as content * ints over packed monomial keys (see the module
+    docstring)."""
 
     __slots__ = ("arity", "content", "ints")
 
     def __init__(self, arity, terms=None):
-        """terms: dict Monomial -> rational; zero coefficients are dropped."""
-        terms = {m: c for m, c in terms.items() if c} if terms else {}
-        content, ints = _split(terms.values())
+        """terms: dict Monomial -> rational; zero coefficients are dropped.
+
+        A monomial of the wrong length raises ArityMismatch; a negative
+        exponent, one that is not an int, or a total degree above the
+        field limit raises ValueError."""
+        packed = {}
+        for m, c in (terms or {}).items():
+            k = _pack(arity, m)
+            if c:
+                packed[k] = c
+        content, ints = _split(packed.values())
         self.arity = arity
-        self.content = content if terms else ONE
-        self.ints = dict(zip(terms, ints))
+        self.content = content if packed else ONE
+        self.ints = dict(zip(packed, ints))
 
     # -- constructors
 
@@ -173,8 +225,6 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, arity, exps, coeff=1):
-        if len(exps) != arity:
-            raise ArityMismatch("exponent tuple has wrong length")
         return cls(arity, {tuple(exps): rat(coeff)})
 
     # -- basic queries
@@ -182,11 +232,11 @@ class Polynomial:
     @property
     def terms(self):
         """The coefficients as a read-only dict-like Monomial -> rational."""
-        return _Terms(self.content, self.ints)
+        return _Terms(self.arity, self.content, self.ints)
 
     def coefficient(self, m):
         """The rational coefficient of the monomial m (0 when absent)."""
-        c = self.ints.get(m)
+        c = self.ints.get(_pack(self.arity, m))
         return ZERO if c is None else self.content * c
 
     def is_zero(self):
@@ -204,19 +254,16 @@ class Polynomial:
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.ints:
-            return -1
-        return max(sum(m) for m in self.ints)
+        return _degree(self.ints) if self.ints else -1
 
     def is_homogeneous(self):
-        degs = {sum(m) for m in self.ints}
-        return len(degs) <= 1
+        return len({k & _MASK for k in self.ints}) <= 1
 
     def homogeneous_parts(self):
         """dict degree -> Polynomial."""
         parts = {}
-        for m, c in self.ints.items():
-            parts.setdefault(sum(m), {})[m] = c
+        for k, c in self.ints.items():
+            parts.setdefault(k & _MASK, {})[k] = c
         return {d: _primitive(self.arity, self.content, t)
                 for d, t in parts.items()}
 
@@ -260,13 +307,14 @@ class Polynomial:
         a, b = self.ints, other.ints
         if not a or not b:
             return Polynomial(self.arity)
+        _check_degree(a, _degree(b))
         if len(a) > len(b):
             a, b = b, a
         out = {}
         get = out.get
         for ma, ca in a.items():
             for mb, cb in b.items():
-                m = tuple(x + y for x, y in zip(ma, mb))
+                m = ma + mb
                 s = get(m, 0) + ca * cb
                 if s:
                     out[m] = s
@@ -280,6 +328,8 @@ class Polynomial:
         scalar, form = _split(form)
         if not scalar or not self.ints:
             return Polynomial(self.arity)
+        if any(form[1:]):
+            _check_degree(self.ints, 1)
         return _poly(self.arity, self.content * scalar,
                      _times_form(self.ints, form))
 
@@ -292,11 +342,13 @@ class Polynomial:
 
     def derivative(self, i):
         """Partial derivative with respect to x_i (1-based)."""
+        s = _shift(self.arity, i)
+        unit = (1 << s) + 1
         out = {}
-        for m, c in self.ints.items():
-            e = m[i - 1]
+        for k, c in self.ints.items():
+            e = k >> s & _MASK
             if e:
-                out[m[:i - 1] + (e - 1,) + m[i:]] = c * e
+                out[k - unit] = c * e
         return _primitive(self.arity, self.content, out)
 
     # -- substitution and evaluation
@@ -328,26 +380,31 @@ class Polynomial:
                   for img, d in zip(images, dens)]
         ints, content = self.ints, self.content
         if any(d != 1 for d in dens):
-            tops = [max(m[i] for m in ints) for i in range(self.arity)]
-            ints = {m: c * prod(d ** (t - e) for d, t, e in zip(dens, tops, m))
-                    for m, c in ints.items()}
+            exps = {k: _unpack(self.arity, k) for k in ints}
+            tops = [max(e) for e in zip(*exps.values())]
+            ints = {k: c * prod(d ** (t - e)
+                                for d, t, e in zip(dens, tops, exps[k]))
+                    for k, c in ints.items()}
             content /= prod(d ** t for d, t in zip(dens, tops))
         return _primitive(target_arity, content,
                           _horner(ints, self.arity, images, target_arity))
 
     def _relabel(self, targets, target_arity):
         """x_i -> x_targets[i-1], where target 0 means x_i -> 0."""
+        moves = [(_shift(self.arity, i),
+                  t and (1 << _shift(target_arity, t)) + 1)
+                 for i, t in enumerate(targets, 1)]
         out = {}
         get = out.get
-        for m, c in self.ints.items():
-            mm = [0] * target_arity
-            for e, t in zip(m, targets):
+        for k, c in self.ints.items():
+            mm = 0
+            for shift, unit in moves:
+                e = k >> shift & _MASK
                 if e:
-                    if not t:
+                    if not unit:
                         break
-                    mm[t - 1] += e
+                    mm += e * unit
             else:
-                mm = tuple(mm)
                 old = get(mm)
                 if old is None:
                     out[mm] = c
@@ -363,10 +420,12 @@ class Polynomial:
         """Evaluate at a tuple of rationals."""
         if len(point) != self.arity:
             raise ArityMismatch("point has wrong length")
+        shifts = _shifts(self.arity)
         total = 0
-        for m, c in self.ints.items():
+        for k, c in self.ints.items():
             v = c
-            for x, e in zip(point, m):
+            for x, s in zip(point, shifts):
+                e = k >> s & _MASK
                 if e:
                     v *= x ** e
             total += v
@@ -385,14 +444,15 @@ class Polynomial:
         arity = self.arity
         v = _form_pivot(form)
         cv = form[v]
+        s = _shift(arity, v)
+        unit = (1 << s) + 1
         if cv == 1 and form[0] == 0 and \
                 all(form[i] == 0 for i in range(1, arity + 1) if i != v):
             # plain variable x_v: divisible iff every monomial contains it
-            if any(m[v - 1] == 0 for m in self.ints):
+            if any(not k >> s & _MASK for k in self.ints):
                 return None
             return _poly(arity, self.content,
-                         {m[:v - 1] + (m[v - 1] - 1,) + m[v:]: c
-                          for m, c in self.ints.items()})
+                         {k - unit: c for k, c in self.ints.items()})
         if tester is None:
             tester = _DivisibilityTester(self)
         if not tester.may_divide(form):
@@ -401,11 +461,14 @@ class Polynomial:
         # layer q_k of the quotient sends h*q_k down to the next layer.  A
         # quotient by a primitive form is integral (Gauss's lemma), so a
         # layer that cv does not divide proves that the form does not.
+        # No key can overflow: every intermediate term has at most the
+        # degree of the dividend.
         h = tuple(-c for c in form[:v]) + (0,) * (arity + 1 - v)
         # group terms by the exponent of x_v
         layers = {}
-        for m, c in self.ints.items():
-            layers.setdefault(m[v - 1], {})[m[:v - 1] + (0,) + m[v:]] = c
+        for k, c in self.ints.items():
+            e = k >> s & _MASK
+            layers.setdefault(e, {})[k - e * unit] = c
         carry = {}
         quotient = {}
         for k in range(max(layers), -1, -1):
@@ -420,24 +483,32 @@ class Polynomial:
                         return None
                     pk[m] = q
             carry = _times_form(pk, h) if any(h) else {}
+            up = (k - 1) * unit
             for m, c in pk.items():
-                quotient[m[:v - 1] + (m[v - 1] + k - 1,) + m[v:]] = c
+                quotient[m + up] = c
         return None  # pragma: no cover
 
     def extended(self, target_arity, offset=0):
         """Re-embed into a larger variable ring, shifting x_i -> x_(i+offset)."""
         if target_arity < self.arity + offset:
             raise ArityMismatch("target arity too small")
-        pad = target_arity - self.arity - offset
-        pre = (0,) * offset
-        post = (0,) * pad
-        return _poly(target_arity, self.content,
-                     {pre + m + post: c for m, c in self.ints.items()})
+        # the fields of x_1..x_d move up past the pad; the leading fields
+        # of the offset are zero, and the degree field stays
+        pad = _W * (target_arity - self.arity - offset)
+        ints = self.ints
+        if pad:
+            ints = {((k >> _W) << (_W + pad)) | (k & _MASK): c
+                    for k, c in ints.items()}
+        return _poly(target_arity, self.content, ints)
 
     # -- output
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mc: (sum(mc[0]), mc[0]))
+        """(Monomial, rational) pairs in graded lex order."""
+        arity, content = self.arity, self.content
+        graded = sorted(self.ints.items(),
+                        key=lambda kc: (kc[0] & _MASK, kc[0]))
+        return [(_unpack(arity, k), content * c) for k, c in graded]
 
     def text(self):
         if not self.ints:
@@ -451,6 +522,54 @@ class Polynomial:
 
     def __repr__(self):
         return "Polynomial(%d, %s)" % (self.arity, self.text())
+
+
+def _shift(arity, i):
+    """Bit offset of the field of x_i (1-based) in a key of the arity."""
+    if not 1 <= i <= arity:
+        raise ArityMismatch("variable x%d out of range for arity %d"
+                            % (i, arity))
+    return _W * (arity + 1 - i)
+
+
+def _shifts(arity):
+    """The field offsets of x_1, .., x_arity."""
+    return range(_W * arity, 0, -_W)
+
+
+def _pack(arity, m):
+    """The key of the exponent tuple m, checked at the boundary."""
+    if len(m) != arity:
+        raise ArityMismatch("exponent tuple %r has wrong length for arity %d"
+                            % (m, arity))
+    key = deg = 0
+    for e in m:
+        if type(e) is not int or e < 0:
+            raise ValueError("exponent %r is not a non-negative int" % (e,))
+        key = (key + e) << _W
+        deg += e
+    if deg > _MASK:
+        raise ExponentOverflow("total degree %d of %r exceeds %d"
+                               % (deg, m, _MASK))
+    return key + deg
+
+
+def _unpack(arity, key):
+    """The exponent tuple of a key."""
+    return tuple(key >> s & _MASK for s in _shifts(arity))
+
+
+def _degree(ints):
+    """The total degree of nonempty terms."""
+    return max(map(_MASK.__and__, ints))
+
+
+def _check_degree(ints, extra):
+    """Raise ExponentOverflow unless the terms' total degree plus extra
+    still fits the degree field."""
+    if ints and _degree(ints) + extra > _MASK:
+        raise ExponentOverflow("total degree %d exceeds %d"
+                               % (_degree(ints) + extra, _MASK))
 
 
 def _split(values):
@@ -492,6 +611,9 @@ def _primitive(arity, content, ints):
 
 def _accumulate(out, ints, k=1):
     """out += k * ints in place, dropping monomials that cancel."""
+    if not out:
+        out.update(ints if k == 1 else {m: k * c for m, c in ints.items()})
+        return
     get = out.get
     items = ints.items() if k == 1 else ((m, k * c) for m, c in ints.items())
     for m, c in items:
@@ -507,15 +629,21 @@ def _accumulate(out, ints, k=1):
 
 
 def _times_form(ints, form):
-    """ints * (form[0] + form[1]*x1 + ..) for an integer form."""
+    """ints * (form[0] + form[1]*x1 + ..) for an integer form; the caller
+    makes sure that the degree of ints is below the field limit."""
+    top = _W * len(form)
     out = {}
-    get = out.get
     for i, ci in enumerate(form):
         if not ci:
             continue
-        pos = i - 1
+        unit = (1 << top - _W * i) + 1 if i else 0
+        if not out:
+            # adding one unit keeps distinct keys distinct
+            out = {m + unit: ci * c for m, c in ints.items()}
+            get = out.get
+            continue
         for m, c in ints.items():
-            mm = m[:pos] + (m[pos] + 1,) + m[pos + 1:] if pos >= 0 else m
+            mm = m + unit
             old = get(mm)
             if old is None:
                 out[mm] = ci * c
@@ -530,13 +658,18 @@ def _times_form(ints, form):
 
 def _horner(ints, arity, images, target_arity):
     """Affine substitution of integer images by Horner's scheme in the
-    last source variable: (..(p_top*img + p_(top-1))*img + ..)*img + p_0,
-    recursing into the layers p_k."""
+    last source variable x_arity: (..(p_top*img + p_(top-1))*img + ..)*img
+    + p_0, recursing into the layers p_k.  The keys have the layout of
+    len(images) variables, of which those after x_arity are absent.  No
+    step raises the degree above that of ints, so no key can overflow."""
     if arity == 0:
-        return {(0,) * target_arity: c for c in ints.values()}
+        return {0: c for c in ints.values()}
+    s = _shift(len(images), arity)
+    unit = (1 << s) + 1
     layers = {}
-    for m, c in ints.items():
-        layers.setdefault(m[-1], {})[m[:-1]] = c
+    for k, c in ints.items():
+        e = k >> s & _MASK
+        layers.setdefault(e, {})[k - e * unit] = c
     img = images[arity - 1]
     result = {}
     for k in range(max(layers), -1, -1):
@@ -939,14 +1072,17 @@ class RationalFunction:
 
     def drop_variable(self, i):
         """Remove an unused variable slot, renumbering higher slots down."""
-        for m in self.num.ints:
-            if m[i - 1]:
-                raise ArityMismatch("x%d appears in the numerator" % i)
+        s = _shift(self.arity, i)
+        if any(k >> s & _MASK for k in self.num.ints):
+            raise ArityMismatch("x%d appears in the numerator" % i)
         for f in self.den:
             if f[i]:
                 raise ArityMismatch("x%d appears in a denominator form" % i)
+        # the fields above x_i move down by one field; the rest stay
+        low = (1 << s) - 1
         num = _poly(self.arity - 1, self.num.content,
-                    {m[:i - 1] + m[i:]: c for m, c in self.num.ints.items()})
+                    {((k >> (s + _W)) << s) | (k & low): c
+                     for k, c in self.num.ints.items()})
         den = {f[:i] + f[i + 1:]: k for f, k in self.den.items()}
         return RationalFunction(self.arity - 1, num, den)
 
@@ -1072,33 +1208,32 @@ class _DivisibilityTester:
     def _term_values(self):
         """(monomial, its term's value mod p at the point) for each term."""
         ints = self.poly.ints
-        max_deg = [0] * self.poly.arity
-        for m in ints:
-            for i, e in enumerate(m):
-                if e > max_deg[i]:
-                    max_deg[i] = e
+        # the total degree bounds every exponent
+        top = _degree(ints)
         powers = []
-        for x, d in zip(self.point, max_deg):
+        for x, s in zip(self.point, _shifts(self.poly.arity)):
             row = [1]
-            for _ in range(d):
+            for _ in range(top):
                 row.append(row[-1] * x % _P)
-            powers.append(row)
+            powers.append((s, row))
         values = []
-        for m, val in ints.items():
-            for i, e in enumerate(m):
+        for k, val in ints.items():
+            for s, row in powers:
+                e = k >> s & _MASK
                 if e:
-                    val = val * powers[i][e] % _P
-            values.append((m, val))
+                    val = val * row[e] % _P
+            values.append((k, val))
         return values
 
     def _collapse(self, v):
         """The layer [S_0, S_1, ..] mod p of self.values for the pivot x_v."""
         # divide the power of x_v back out of each term's value
         x_inv = pow(self.point[v - 1], -1, _P)
+        s = _shift(self.poly.arity, v)
         inv_powers = [1]
         layer = [0]
-        for m, val in self.values:
-            e = m[v - 1]
+        for k, val in self.values:
+            e = k >> s & _MASK
             while e >= len(layer):
                 inv_powers.append(inv_powers[-1] * x_inv % _P)
                 layer.append(0)
@@ -1237,6 +1372,9 @@ def _over(v, common):
     """Integer numerator of v written over the common denominator: v's
     numerator over it is v.num.content times these ints."""
     ints = v.num.ints
+    extra = sum(common.values()) - sum(v.den.values())
+    if extra:
+        _check_degree(ints, extra)
     for f, k in common.items():
         for _ in range(k - v.den.get(f, 0)):
             ints = _times_form(ints, f)

@@ -15,6 +15,7 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 TASKS = (
     ("combo", 3, "1/2", "-2/3"),   # verify
+    ("family5", "psi-1", "shuffle", 1, 4, "-1/2"),  # verify: Horner, relabel
     ("sigma", 5, "psi"),           # decompose
     ("chi_q4", 5),                 # decompose, with the Q4 counterterm
     ("ls", 2, 14, False),          # dims

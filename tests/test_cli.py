@@ -162,6 +162,13 @@ class TestContract:
                                     "--g", name, "--max-depth", "2")
             assert_usage_error(code, out, err)
 
+    def test_cn_generator_without_components(self, capsys):
+        for name in ("cn:0", "cn:-2"):
+            code, out, err = invoke(capsys, "verify", "--gen", name,
+                                    "--max-depth", "2")
+            assert_usage_error(code, out, err)
+            assert "cn:N needs N >= 1" in err
+
     def test_gen_vine_without_grapes(self, capsys):
         for n in ("0", "-2"):
             code, out, err = invoke(capsys, "gen", "vine", "--n", n)

@@ -5,8 +5,9 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from dshuffle.rationals import QQ
-from dshuffle.ratfun import (ArityMismatch, ParseError, PoleOrderError,
-                             Polynomial, RationalFunction, _DivisibilityTester,
+from dshuffle.ratfun import (_MASK, ArityMismatch, ExponentOverflow,
+                             ParseError, PoleOrderError, Polynomial,
+                             RationalFunction, _DivisibilityTester,
                              coefficient_rows, form_normalize, linear_form,
                              parse, rf_sum_a, var_vector)
 from dshuffle.gens import psi_zero_component, s_d
@@ -836,3 +837,206 @@ class TestSumHelper:
         for v in vals:
             acc = acc + v
         assert total.equals(acc)
+
+
+class TestMonomialBoundary:
+    @pytest.mark.parametrize("arity, exps", [(2, (1,)), (1, (1, 0)), (3, ())])
+    def test_wrong_length_raises(self, arity, exps):
+        with pytest.raises(ArityMismatch):
+            Polynomial(arity, {exps: QQ(3)})
+        with pytest.raises(ArityMismatch):
+            Polynomial.monomial(arity, exps)
+
+    @pytest.mark.parametrize("exps", [
+        (-1,), (2, -3), (1.0,), (True, 0), ("1",), (QQ(1),)])
+    def test_bad_exponent_raises(self, exps):
+        with pytest.raises(ValueError) as info:
+            Polynomial.monomial(len(exps), exps)
+        assert not isinstance(info.value, ArityMismatch)
+        with pytest.raises(ValueError):
+            Polynomial(len(exps), {exps: QQ(1)})
+
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_variable_out_of_range_raises(self, i):
+        # the slot past x_d holds the total degree
+        p = Polynomial(2, {(1, 2): QQ(1)})
+        with pytest.raises(ArityMismatch):
+            p.derivative(i)
+        with pytest.raises(ArityMismatch):
+            RationalFunction.from_poly(p).drop_variable(i)
+
+    def test_negative_power_of_a_variable_raises(self):
+        with pytest.raises(ValueError):
+            Polynomial.variable(2, 1, -2)
+
+
+@st.composite
+def values_of_arity(draw):
+    arity = draw(st.integers(1, 5))
+    return arity, draw(st.lists(rational_functions(arity), min_size=1,
+                                max_size=3))
+
+
+class TestPacking:
+    """Monomials are packed into one int each (see the ratfun docstring);
+    the packing must keep the lex order of exponent tuples and never let
+    one field carry into another."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(values_of_arity())
+    def test_coefficient_rows_keep_the_lex_order(self, drawn):
+        arity, values = drawn
+        common = {}
+        for v in values:
+            for f, k in v.den.items():
+                common[f] = max(common.get(f, 0), k)
+        den = Polynomial.const(arity, 1)
+        for f, k in common.items():
+            for _ in range(k):
+                den = den.mul_form(f)
+        cleared = [(v * RationalFunction.from_poly(den)).num.terms
+                   for v in values]
+        monos = sorted({m for terms in cleared for m in terms})
+        assert coefficient_rows(values) == [
+            [terms.get(m, 0) for terms in cleared] for m in monos]
+
+    @pytest.mark.parametrize("exps", [
+        (_MASK,), (_MASK, 0, 0), (0, 0, _MASK), (1, _MASK - 2, 1),
+        (_MASK // 2 + 1, _MASK // 2)])
+    def test_exponents_at_the_limit_round_trip(self, exps):
+        arity = len(exps)
+        p = Polynomial.monomial(arity, exps, QQ(-3, 7))
+        assert dict(p.terms.items()) == {exps: QQ(-3, 7)}
+        assert p.coefficient(exps) == QQ(-3, 7)
+        assert p.degree() == _MASK
+        f = RationalFunction.from_poly(p)
+        assert RationalFunction.from_json(f.to_json()).num == p
+        assert parse(f.text(), arity=arity).num == p
+        assert dict(p.extended(arity + 1, 1).terms.items()) == {
+            (0,) + exps: QQ(-3, 7)}
+        wide = p.extended(arity + 2, 1)
+        assert dict(wide.terms.items()) == {(0,) + exps + (0,): QQ(-3, 7)}
+        back = RationalFunction.from_poly(wide).drop_variable(arity + 2)
+        assert back.drop_variable(1).num == p
+
+    @pytest.mark.parametrize("exps", [
+        (_MASK + 1,), (0, _MASK + 1), (_MASK, 1), (2 ** 40, 0)])
+    def test_exponents_past_the_limit_raise(self, exps):
+        with pytest.raises(ExponentOverflow):
+            Polynomial.monomial(len(exps), exps)
+
+    def test_kernels_at_the_limit_are_exact(self):
+        p = Polynomial(2, {(_MASK - 5, 5): QQ(2), (0, 1): QQ(1)})
+        # x2 -> x1 merges both fields into one at the limit
+        merged = p.substitute_affine([(0, 1), (0, 1)], 1)
+        assert dict(merged.terms.items()) == {(_MASK,): 2, (1,): 1}
+        assert dict(p.derivative(1).terms.items()) == {
+            (_MASK - 6, 5): 2 * (_MASK - 5)}
+        q = Polynomial.monomial(2, (_MASK - 1, 1))
+        assert q.divide_form(linear_form(1, 0, 2)) == \
+            Polynomial.monomial(2, (_MASK - 2, 1))
+        low = Polynomial.variable(2, 1, _MASK - 1)
+        x2 = Polynomial.variable(2, 2)
+        assert dict((low * x2).terms.items()) == {(_MASK - 1, 1): 1}
+        assert dict(low.mul_form((0, 0, 1)).terms.items()) == \
+            {(_MASK - 1, 1): 1}
+
+    def test_products_past_the_limit_raise(self):
+        top = Polynomial.variable(2, 1, _MASK)
+        x2 = Polynomial.variable(2, 2)
+        with pytest.raises(ExponentOverflow):
+            top * x2
+        with pytest.raises(ExponentOverflow):
+            x2 * top
+        half = Polynomial.variable(2, 2, _MASK // 2 + 1)
+        with pytest.raises(ExponentOverflow):
+            half * half
+        # a constant form keeps the degree
+        assert top.mul_form((3, 0, 0)) == top.scale(3)
+
+    def test_form_multiplications_past_the_limit_raise(self):
+        top = Polynomial.variable(2, 1, _MASK)
+        with pytest.raises(ExponentOverflow):
+            top.mul_form((0, 0, 1))
+        with pytest.raises(ExponentOverflow):
+            top.mul_form((1, -1, 1))
+        # clearing a sum to its common denominator multiplies by x2
+        with pytest.raises(ExponentOverflow):
+            rf_sum_a(2, [RationalFunction.from_poly(top), rf("1/(x2)", 2)])
+        with pytest.raises(ExponentOverflow):
+            coefficient_rows([RationalFunction.from_poly(top),
+                              rf("1/(x2-x1)", 2)])
+
+
+@st.composite
+def laurent_poles(draw, arity):
+    """(value, a, b) with a pole of order 2 or 3 along x_a = x_b."""
+    a = draw(st.integers(1, arity))
+    b = draw(st.integers(0, a - 1))
+    form = linear_form(a, b, arity)
+    den = {form: draw(st.integers(2, 3))}
+    pairs = [(i, j) for i in range(1, arity + 1) for j in range(i)
+             if (i, j) != (a, b)]
+    if pairs:
+        for i, j in draw(st.lists(st.sampled_from(pairs), max_size=2)):
+            other = linear_form(i, j, arity)
+            den[other] = den.get(other, 0) + 1
+    g = RationalFunction.from_num_den(draw(polynomials(arity)), den)
+    assume(g.pole_order(form) >= 2)
+    return g, a, b
+
+
+@st.composite
+def dependent_images(draw, arity):
+    """(target arity, images) whose linear parts are dependent: a repeated
+    letter, a zero image or x_a -> x_b."""
+    kind = draw(st.sampled_from(("repeated", "zero", "collapse")))
+    if kind == "repeated":
+        assume(arity >= 2)
+        # fewer letters than sources, so one letter repeats
+        target = draw(st.integers(1, arity - 1))
+        return target, [var_vector(target, draw(st.integers(1, target)))
+                        for _ in range(arity)]
+    images = [var_vector(arity, j) for j in range(1, arity + 1)]
+    a = draw(st.integers(1, arity))
+    if kind == "zero":
+        images[a - 1] = var_vector(arity, 0)
+    else:
+        assume(arity >= 2)
+        images[a - 1] = var_vector(arity, draw(st.sampled_from(
+            [j for j in range(1, arity + 1) if j != a])))
+    return arity, images
+
+
+class TestSympyOracles:
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_laurent_residue_agrees_with_sympy(self, data):
+        arity = data.draw(st.integers(1, 3))
+        g, a, b = data.draw(laurent_poles(arity))
+        xs = sympy.symbols("x1:%d" % (arity + 1))
+        t = sympy.Symbol("t")
+        num, den = _sympy_rf(g, xs)
+        line = (xs[b - 1] if b else 0) + t
+        expected = sympy.residue((num / den).subs(xs[a - 1], line), t, 0)
+        got_num, got_den = _sympy_rf(g.laurent_residue(a, b), xs)
+        assert sympy.cancel(got_num / got_den - expected) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_dependent_substitution_agrees_with_sympy_cancel(self, data):
+        arity = data.draw(st.integers(1, 3))
+        f = data.draw(reducible_functions(arity))
+        target, images = data.draw(dependent_images(arity))
+        try:
+            g = f.substitute_affine(images, target)
+        except PoleOrderError:
+            assume(False)
+        us = sympy.symbols("u1:%d" % (arity + 1))
+        num, den = _sympy_rf(f, us)
+
+        def expr(xs):
+            return (num / den).subs(
+                {u: img[0] + sum(c * x for c, x in zip(img[1:], xs))
+                 for u, img in zip(us, images)}, simultaneous=True)
+        assert_cancel_agrees(g, expr)
