@@ -127,12 +127,10 @@ def bracket_basis(weight, depth_bound):
 def _solve_residues(columns, lead, residue_maps):
     """Coefficients c with sum c_i res(columns_i) = -res(lead) for every
     residue map res, as (c, kernel_dim); SolveError when inconsistent."""
-    rows, rhs = [], []
+    rows = []
     for res in residue_maps:
-        for row in coefficient_rows([res(s) for s in columns] + [res(lead)]):
-            rows.append(row[:-1])
-            rhs.append(-row[-1])
-    solved = linalg.solve_affine(rows, rhs, len(columns))
+        rows.extend(coefficient_rows([res(s) for s in columns] + [res(lead)]))
+    solved = linalg.solve_affine(rows, len(columns))
     if solved is None:
         raise SolveError("residue conditions are inconsistent")
     return solved

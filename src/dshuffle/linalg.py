@@ -1,8 +1,11 @@
 """Exact linear algebra over the rationals: certified multi-modular RREF.
 
-M is row-reduced mod word-size primes, its echelon form R is rebuilt over
-Q by rational reconstruction, and each kernel vector v_f (1 at a free
-column f, -R[r][f] at the pivot of row r) is checked by M v_f = 0 in ints:
+A matrix M comes in as integer rows (scaling a row by a nonzero factor
+changes neither its kernel nor its reduced echelon form); the echelon form
+and the kernel vectors come out as rationals.  M is row-reduced mod
+word-size primes, its echelon form R is rebuilt over Q by rational
+reconstruction, and each kernel vector v_f (1 at a free column f, -R[r][f]
+at the pivot of row r) is checked by M v_f = 0 in ints:
   rank M mod p <= rank over Q, and the certified v_f give the converse;
   v_f lives on f and earlier pivots, so f is free over Q: the pivots agree;
   the reduced echelon form is unique, so R is exact.
@@ -48,16 +51,6 @@ def _primes():
         if _is_prime(q):
             yield q
         q -= 2
-
-
-def _integer_rows(matrix):
-    """Each row times the lcm of its denominators, as plain ints."""
-    out = []
-    for row in matrix:
-        dens = [int(v.denominator) for v in row]
-        den = lcm(*dens)
-        out.append([int(v.numerator) * (den // d) for v, d in zip(row, dens)])
-    return out
 
 
 def _rref_mod(rows, n_cols, p):
@@ -139,12 +132,12 @@ def _certified(rows, pivots, entries, n_cols):
     return True
 
 
-def rref(matrix):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    if not matrix:
+def rref(rows):
+    """Reduced row echelon form of integer rows over Q; returns
+    (rational rows, pivot_columns)."""
+    if not rows:
         return [], []
-    n_cols = len(matrix[0])
-    rows = _integer_rows(matrix)
+    n_cols = len(rows[0])
     best = None
     for p in _primes():
         basis = _rref_mod(rows, n_cols, p)
@@ -173,16 +166,13 @@ def rref(matrix):
     for (c, f), (num, den) in entries.items():
         out[c][f] = QQ(num, den)
     out = list(out.values())
-    out.extend([ZERO] * n_cols for _ in range(len(matrix) - len(pivots)))
+    out.extend([ZERO] * n_cols for _ in range(len(rows) - len(pivots)))
     return out, pivots
 
 
-def nullspace(matrix, n_cols):
-    """Basis of the right kernel, as lists of rationals."""
-    if not matrix:
-        return [[QQ(1) if i == j else ZERO for i in range(n_cols)]
-                for j in range(n_cols)]
-    m, pivots = rref(matrix)
+def nullspace(rows, n_cols):
+    """Basis of the right kernel of integer rows, as lists of rationals."""
+    m, pivots = rref(rows)
     free = [c for c in range(n_cols) if c not in pivots]
     basis = []
     for fc in free:
@@ -194,8 +184,9 @@ def nullspace(matrix, n_cols):
     return basis
 
 
-def solve_affine(matrix, rhs, n_cols):
-    """Solve M x = rhs exactly as the kernel of the augmented [M | -rhs].
+def solve_affine(rows, n_cols):
+    """Solve M x + a = 0 exactly for integer rows [M | a] with n_cols
+    unknowns, as the kernel of the rows.
 
     Returns (solution, kernel_dim), or None when the system is
     inconsistent.  The augmented column is the last free column exactly
@@ -203,8 +194,7 @@ def solve_affine(matrix, rhs, n_cols):
     other free coordinates pinned to zero (deterministic choice), and
     kernel_dim counts those other free coordinates.
     """
-    basis = nullspace([list(row) + [-b] for row, b in zip(matrix, rhs)],
-                      n_cols + 1)
+    basis = nullspace(rows, n_cols + 1)
     if not basis or not basis[-1][n_cols]:
         return None
     return basis[-1][:n_cols], len(basis) - 1

@@ -67,13 +67,12 @@ Kernels:
     a product, a product by a canonical form and an exact quotient by one
     need no gcd pass.
   * Affine substitution has one path with two kernels, chosen from the
-    images.  When every image is a single variable x_j with coefficient 1,
-    or zero, the monomials are relabelled: exponents move to their new
-    slots, terms that land on one monomial are merged and a monomial that
-    uses a zero image is dropped.  Any other images run a Horner scheme
-    over the source variables whose every step multiplies integer terms
-    by an integer form; rational images are first written as integer
-    forms over integer denominators, which move into the content.
+    images, which are integer coefficient tuples.  When every image is a
+    single variable x_j with coefficient 1, or zero, the monomials are
+    relabelled: exponents move to their new slots, terms that land on one
+    monomial are merged and a monomial that uses a zero image is dropped.
+    Any other images run a Horner scheme over the source variables whose
+    every step multiplies integer terms by an integer form.
   * A substituted value is normalized again (its numerator divided by
     each denominator form that divides it) only when the images' linear
     parts are dependent, e.g. x_a -> x_b, a zero image or a repeated letter.
@@ -82,9 +81,7 @@ Kernels:
     stay non-proportional, and a substituted form divides the substituted
     numerator only if the form divided the numerator, so a normalized
     value stays normalized.  Independence is decided exactly by
-    fraction-free integer elimination; an image with a non-integral
-    coefficient counts as dependent, since normalizing again is always
-    safe.
+    fraction-free integer elimination.
   * Exact division by a canonical form runs layer by layer in the
     pivot variable.  The quotient of a primitive polynomial by a
     primitive form is integral (Gauss's lemma), so with a pivot
@@ -123,7 +120,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Mapping
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm
 
 from .rationals import (QQ, ZERO, ONE, _P, rat, rat_str, rat_from_str,
                         as_int_pair)
@@ -354,8 +351,9 @@ class Polynomial:
     # -- substitution and evaluation
 
     def substitute_affine(self, images, target_arity):
-        """Compose with x_i -> images[i-1], each a coefficient tuple
-        (c0, c1, .., cD) of an affine form in target_arity variables."""
+        """Compose with x_i -> images[i-1], each an integer coefficient
+        tuple (c0, c1, .., cD) of an affine form in target_arity
+        variables."""
         if len(images) != self.arity:
             raise ArityMismatch("need one image per variable")
         if not self.ints:
@@ -372,22 +370,8 @@ class Polynomial:
         else:
             return _primitive(target_arity, self.content,
                               self._relabel(targets, target_arity))
-        # x_i -> f_i / d_i with f_i integral: the numerator over
-        # prod d_i^top_i is the substitution of f_i into
-        # sum c_m prod x_i^m_i d_i^(top_i - m_i)
-        dens = [lcm(*(c.denominator for c in img)) for img in images]
-        images = [tuple(c.numerator * (d // c.denominator) for c in img)
-                  for img, d in zip(images, dens)]
-        ints, content = self.ints, self.content
-        if any(d != 1 for d in dens):
-            exps = {k: _unpack(self.arity, k) for k in ints}
-            tops = [max(e) for e in zip(*exps.values())]
-            ints = {k: c * prod(d ** (t - e)
-                                for d, t, e in zip(dens, tops, exps[k]))
-                    for k, c in ints.items()}
-            content /= prod(d ** t for d, t in zip(dens, tops))
-        return _primitive(target_arity, content,
-                          _horner(ints, self.arity, images, target_arity))
+        return _primitive(target_arity, self.content,
+                          _horner(self.ints, self.arity, images, target_arity))
 
     def _relabel(self, targets, target_arity):
         """x_i -> x_targets[i-1], where target 0 means x_i -> 0."""
@@ -464,11 +448,7 @@ class Polynomial:
         # No key can overflow: every intermediate term has at most the
         # degree of the dividend.
         h = tuple(-c for c in form[:v]) + (0,) * (arity + 1 - v)
-        # group terms by the exponent of x_v
-        layers = {}
-        for k, c in self.ints.items():
-            e = k >> s & _MASK
-            layers.setdefault(e, {})[k - e * unit] = c
+        layers = _layers(self.ints, s)
         carry = {}
         quotient = {}
         for k in range(max(layers), -1, -1):
@@ -656,6 +636,17 @@ def _times_form(ints, form):
     return out
 
 
+def _layers(ints, s):
+    """The terms grouped by the exponent e of the variable whose field
+    is at offset s: e -> {key without that variable: coefficient}."""
+    unit = (1 << s) + 1
+    layers = {}
+    for k, c in ints.items():
+        e = k >> s & _MASK
+        layers.setdefault(e, {})[k - e * unit] = c
+    return layers
+
+
 def _horner(ints, arity, images, target_arity):
     """Affine substitution of integer images by Horner's scheme in the
     last source variable x_arity: (..(p_top*img + p_(top-1))*img + ..)*img
@@ -664,12 +655,7 @@ def _horner(ints, arity, images, target_arity):
     step raises the degree above that of ints, so no key can overflow."""
     if arity == 0:
         return {0: c for c in ints.values()}
-    s = _shift(len(images), arity)
-    unit = (1 << s) + 1
-    layers = {}
-    for k, c in ints.items():
-        e = k >> s & _MASK
-        layers.setdefault(e, {})[k - e * unit] = c
+    layers = _layers(ints, _shift(len(images), arity))
     img = images[arity - 1]
     result = {}
     for k in range(max(layers), -1, -1):
@@ -952,21 +938,15 @@ class RationalFunction:
 
     def partial(self, i):
         """Exact partial derivative with respect to x_i."""
+        # first: it rejects i out of range.  Over the same denominator it
+        # need not be normalized; in a sum with the pieces it shares the
+        # top multiplicity of every form it may be divided by
+        derivative = self.num.derivative(i)
         # each piece of a form involving x_i raises that form's
         # multiplicity over the normalized numerator, so is normalized
-        pieces = []
-        for f, k in self.den.items():
-            ci = f[i]
-            if not ci:
-                continue
-            counts = dict(self.den)
-            counts[f] = k + 1
-            pieces.append(RationalFunction(
-                self.arity, self.num.scale(-k * ci), counts))
-        # the derivative of the numerator over the same denominator need
-        # not be normalized; in a sum with those pieces it shares the top
-        # multiplicity of every form it may be divided by
-        derivative = self.num.derivative(i)
+        pieces = [RationalFunction(self.arity, self.num.scale(-k * f[i]),
+                                   {**self.den, f: k + 1})
+                  for f, k in self.den.items() if f[i]]
         if not pieces:
             return RationalFunction._normalized(self.arity, derivative,
                                                 dict(self.den))
@@ -993,9 +973,7 @@ class RationalFunction:
         if k > 1:
             raise PoleOrderError("pole of order %d along %s"
                                  % (k, form_text(form)))
-        counts = {f: m for f, m in self.den.items() if f != form}
-        return RationalFunction(self.arity, self.num,
-                                counts).residue_free_subs(a, b)
+        return self._off_pole(form, a, b)
 
     def laurent_residue(self, a, b=0):
         """Coefficient of 1/(x_a - x_b) in the Laurent expansion along the
@@ -1004,13 +982,8 @@ class RationalFunction:
         m = self.den.get(form, 0)
         if m == 0:
             return RationalFunction.zero(self.arity)
-        # num stays normalized against the remaining forms
-        cleared = RationalFunction(self.arity, self.num,
-                                   {f: k for f, k in self.den.items()
-                                    if f != form})
-        for _ in range(m - 1):
-            cleared = cleared.partial(a)
-        return cleared.residue_free_subs(a, b).scale(QQ(1, factorial(m - 1)))
+        return self._off_pole(form, a, b, m - 1).scale(
+            QQ(1, factorial(m - 1)))
 
     def laurent_coefficient_order2(self, a, b=0):
         """Coefficient of the order-2 pole along x_a = x_b.
@@ -1024,10 +997,18 @@ class RationalFunction:
             raise PoleOrderError("pole order %d > 2" % k)
         if k < 2:
             return RationalFunction.zero(self.arity)
-        shifted = RationalFunction(self.arity, self.num,
-                                   {f: k for f, k in self.den.items()
-                                    if f != form})
-        return shifted.residue_free_subs(a, b)
+        return self._off_pole(form, a, b)
+
+    def _off_pole(self, form, a, b, order=0):
+        """The numerator over every form but form = x_a - x_b,
+        differentiated order times in x_a, at x_a = x_b."""
+        # num stays normalized against the remaining forms
+        rest = RationalFunction(self.arity, self.num,
+                                {f: k for f, k in self.den.items()
+                                 if f != form})
+        for _ in range(order):
+            rest = rest.partial(a)
+        return rest.residue_free_subs(a, b)
 
     def residue_free_subs(self, a, b):
         """Substitute x_a -> x_b assuming no pole along x_a = x_b."""
@@ -1041,7 +1022,7 @@ class RationalFunction:
     # -- substitution
 
     def substitute_affine(self, images, target_arity):
-        """Compose with x_i -> affine image (coefficient tuples).
+        """Compose with x_i -> affine image (integer coefficient tuples).
 
         Denominator forms are re-derived by factoring the substituted
         forms; a form substituting to zero raises PoleOrderError, and one
@@ -1339,14 +1320,11 @@ def _cancel(num, counts, forms=None):
 
 
 def _independent(images):
-    """Whether the linear parts of the images are linearly independent,
-    decided exactly by fraction-free elimination.  An image with a
-    non-integral coefficient counts as dependent."""
+    """Whether the linear parts of the integer images are linearly
+    independent, decided exactly by fraction-free elimination."""
     pivots = []
     for img in images:
-        if any(c.denominator != 1 for c in img[1:]):
-            return False
-        row = [int(c) for c in img[1:]]
+        row = img[1:]
         for col, prow in pivots:
             if row[col]:
                 p, r = prow[col], row[col]
@@ -1405,19 +1383,22 @@ def rf_sum_a(arity, values):
 
 
 def coefficient_rows(values):
-    """Linear conditions on c for sum c_i values_i = 0.
+    """Linear conditions on c for sum c_i values_i = 0, as integer rows.
 
     The values are cleared to their common denominator; there is one row
     per monomial of the cleared numerators, in sorted order, and entry i
     of a row is that monomial's coefficient in the numerator of
-    values_i.  The sum vanishes exactly when c is orthogonal to every row.
+    values_i, every row scaled by one common positive factor (the common
+    content of the values is dropped).  The sum vanishes exactly when c
+    is orthogonal to every row.
     """
     common = _common_den(values)
-    cleared = [(v.num.content, _over(v, common)) for v in values]
+    _, factors = _split([v.num.content for v in values])
+    cleared = [(k, _over(v, common)) for v, k in zip(values, factors)]
     monos = set()
     for _, ints in cleared:
         monos.update(ints)
-    return [[c * ints[m] if m in ints else ZERO for c, ints in cleared]
+    return [[k * ints[m] if m in ints else 0 for k, ints in cleared]
             for m in sorted(monos)]
 
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from dshuffle.rationals import QQ
 from dshuffle.ratfun import (_MASK, ArityMismatch, ExponentOverflow,
                              ParseError, PoleOrderError, Polynomial,
-                             RationalFunction, _DivisibilityTester,
+                             RationalFunction, _DivisibilityTester, _split,
                              coefficient_rows, form_normalize, linear_form,
                              parse, rf_sum_a, var_vector)
 from dshuffle.gens import psi_zero_component, s_d
@@ -130,7 +130,7 @@ class TestSubstitute:
     def test_denominator_becomes_a_constant(self):
         # x1 -> 2, x2 -> x1: the form x1 becomes the scalar 2
         f = rf("x2/(x1)")
-        images = [(QQ(2), QQ(0)), var_vector(1, 1)]
+        images = [(2, 0), var_vector(1, 1)]
         assert f.substitute_affine(images, 1).equals(rf("x1", 1).scale(
             QQ(1, 2)))
 
@@ -171,13 +171,14 @@ def affine_images(draw, arity):
         return target, [var_vector(target, draw(st.integers(low, target)))
                         for _ in range(arity)]
     if kind == "sharp":
-        images, acc = [], [QQ(0)] * (target + 1)
+        images, acc = [], [0] * (target + 1)
         for _ in range(arity):
             acc = list(acc)
             acc[draw(st.integers(1, target))] += 1
             images.append(tuple(acc))
         return target, images
-    return target, [tuple(draw(small_rat) for _ in range(target + 1))
+    return target, [tuple(draw(st.integers(-6, 6))
+                          for _ in range(target + 1))
                     for _ in range(arity)]
 
 
@@ -242,8 +243,7 @@ class TestKernelOracles:
                                             for v, ci in zip(values, c)]))
             c.append(QQ(1))
         rows = coefficient_rows(values)
-        dots = [sum((a * ci for a, ci in zip(row, c)), QQ(0))
-                for row in rows]
+        dots = [sum(a * ci for a, ci in zip(row, c)) for row in rows]
         total = rf_sum_a(arity, [v.scale(ci) for v, ci in zip(values, c)])
         assert total.is_zero() == all(x == 0 for x in dots)
         # the common denominator multiplied out labels the rows
@@ -259,7 +259,9 @@ class TestKernelOracles:
         assert all(x.is_polynomial() for x in cleared)
         monos = sorted({m for x in cleared for m in x.num.terms})
         assert len(rows) == len(monos)
-        numerator = Polynomial(arity, {m: x for m, x in zip(monos, dots)
+        # the rows are scaled by the values' common content
+        g = _split([v.num.content for v in values])[0]
+        numerator = Polynomial(arity, {m: g * x for m, x in zip(monos, dots)
                                        if x})
         assert numerator == (total * RationalFunction.from_poly(den)).num
 
@@ -313,7 +315,7 @@ def normalization_images(draw, arity):
         return arity, [var_vector(arity, j) for j in perm]
     if kind == "sharp":
         target = draw(st.integers(1, 3))
-        images, acc = [], [QQ(0)] * (target + 1)
+        images, acc = [], [0] * (target + 1)
         for _ in range(arity):
             acc = list(acc)
             acc[draw(st.integers(1, target))] += 1
@@ -332,7 +334,7 @@ def normalization_images(draw, arity):
     assume(arity == 3)
     target = draw(st.integers(2, 3))
     coeff = st.integers(-2, 2)
-    u, v = [(QQ(0),) + tuple(QQ(draw(coeff)) for _ in range(target))
+    u, v = [(0,) + tuple(draw(coeff) for _ in range(target))
             for _ in range(2)]
     s, t = draw(st.integers(1, 2)), draw(st.sampled_from((-1, 1)))
     w = tuple(s * x + t * y for x, y in zip(u, v))
@@ -865,6 +867,12 @@ class TestMonomialBoundary:
         with pytest.raises(ArityMismatch):
             RationalFunction.from_poly(p).drop_variable(i)
 
+    @pytest.mark.parametrize("i", [-1, 0, 3])
+    def test_partial_out_of_range_raises(self, i):
+        # the denominator forms are read at i, so i is checked first
+        with pytest.raises(ArityMismatch):
+            rf("x2/(x1)", 2).partial(i)
+
     def test_negative_power_of_a_variable_raises(self):
         with pytest.raises(ValueError):
             Polynomial.variable(2, 1, -2)
@@ -897,8 +905,16 @@ class TestPacking:
         cleared = [(v * RationalFunction.from_poly(den)).num.terms
                    for v in values]
         monos = sorted({m for terms in cleared for m in terms})
+        g = _split([v.num.content for v in values])[0]
         assert coefficient_rows(values) == [
-            [terms.get(m, 0) for terms in cleared] for m in monos]
+            [terms.get(m, 0) / g for terms in cleared] for m in monos]
+
+    @settings(max_examples=40, deadline=None)
+    @given(values_of_arity())
+    def test_coefficient_rows_are_ints(self, drawn):
+        _, values = drawn
+        rows = coefficient_rows(values)
+        assert all(type(x) is int for row in rows for x in row)
 
     @pytest.mark.parametrize("exps", [
         (_MASK,), (_MASK, 0, 0), (0, 0, _MASK), (1, _MASK - 2, 1),
