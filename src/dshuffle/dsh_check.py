@@ -5,6 +5,12 @@ function; an equation passes exactly when the residual normalizes to zero.
 The sharp substitutions produce widened affine denominators (sums of
 variables); these stay inside this module, since residuals are only
 compared against zero after clearing denominators.
+
+The sharp change of variables along a word w is the fixed prefix-sum map
+P: x_i -> x_1 + .. + x_i followed by the relabelling x_j -> x_(w_j), so
+f(sharp_w x) = perm_eval(f o P, w).  A check applies P to f once and
+relabels that image for each word; P is injective and the relabellings of
+a permutation are too, so every term is already a normalized value.
 """
 
 from __future__ import annotations
@@ -44,16 +50,11 @@ class EquationReport:
             self.family, self.indices, "pass" if self.passed else "FAIL")
 
 
-def sharp_eval(f, word):
-    """f evaluated at the prefix sums of x along a word of indices."""
+def _prefix_sums(f):
+    """f o P, with P: x_i -> x_1 + .. + x_i."""
     n = f.arity
-    images = []
-    acc = [0] * (n + 1)
-    for idx in word:
-        acc = list(acc)
-        acc[idx] += 1
-        images.append(tuple(acc))
-    return f.substitute_affine(images, n)
+    return f.substitute_affine([(0,) + (1,) * i + (0,) * (n - i)
+                                for i in range(1, n + 1)], n)
 
 
 def perm_eval(f, word, target_arity=None):
@@ -62,20 +63,27 @@ def perm_eval(f, word, target_arity=None):
     return f.substitute_affine([var_vector(n, idx) for idx in word], n)
 
 
-def _shuffle_sum(f, p, q, evaluate):
-    """Sum of evaluate(f, w) over the shuffles w of (1..p) and (p+1..p+q)."""
+def sharp_eval(f, word):
+    """f evaluated at the prefix sums of x along a word of indices."""
+    return perm_eval(_prefix_sums(f), word)
+
+
+def _shuffle_sum(f, p, q, sharp):
+    """Sum over the shuffles w of (1..p) and (p+1..p+q) of f at
+    x_(w1), .., x_(wn), or of f at the prefix sums along w when sharp."""
     n = f.arity
     if p + q != n:
         raise ValueError("need p + q = arity")
     u = tuple(range(1, p + 1))
     v = tuple(range(p + 1, n + 1))
-    return rf_sum_a(n, [evaluate(f, w) for w in shuffle(u, v)])
+    g = _prefix_sums(f) if sharp else f
+    return rf_sum_a(n, [perm_eval(g, w) for w in shuffle(u, v)])
 
 
 def check_shuffle(f, p, q):
     """(p,q) shuffle equation: sum over shuffles of the sharp evaluation."""
     return EquationReport.from_residual("shuffle", (p, q),
-                                        _shuffle_sum(f, p, q, sharp_eval))
+                                        _shuffle_sum(f, p, q, sharp=True))
 
 
 def _stuffle_term_eval(series, term, arity):
@@ -121,10 +129,9 @@ def check_stuffle(series, p, q):
 def check_linearized(f, p, q, sharp):
     """(p,q) linearized equation, with or without the sharp change of
     variables."""
-    evaluate = sharp_eval if sharp else perm_eval
     family = "lin_shuffle" if sharp else "lin_stuffle"
     return EquationReport.from_residual(family, (p, q),
-                                        _shuffle_sum(f, p, q, evaluate))
+                                        _shuffle_sum(f, p, q, sharp))
 
 
 def check_lambda_form(f, sharp):
@@ -133,9 +140,9 @@ def check_lambda_form(f, sharp):
     if n < 2:
         raise ValueError("needs arity >= 2")
     word = tuple(range(1, n + 1))
-    evaluate = sharp_eval if sharp else perm_eval
-    parts = [evaluate(f, w).scale(c) for w, c in lie_projector(word).items()]
-    parts.append(evaluate(f, word).scale(-n))
+    g = _prefix_sums(f) if sharp else f
+    parts = [perm_eval(g, w).scale(c) for w, c in lie_projector(word).items()]
+    parts.append(g.scale(-n))
     family = "lambda_sharp" if sharp else "lambda"
     return EquationReport.from_residual(family, (n,), rf_sum_a(n, parts))
 

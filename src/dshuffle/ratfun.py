@@ -1139,6 +1139,9 @@ class RationalFunction:
     @classmethod
     def from_json_dict(cls, data):
         arity = data["arity"]
+        if not (type(arity) is int and arity >= 0):
+            raise ParseError("arity %r is not a non-negative integer"
+                             % (arity,))
         terms = {}
         for p, q, exps in data["num"]:
             if not (type(p) is int and type(q) is int and p and q):
@@ -1152,9 +1155,17 @@ class RationalFunction:
             if tuple(exps) in terms:
                 raise ParseError("exponents %r appear in two terms" % (exps,))
             terms[tuple(exps)] = QQ(p, q)
-        return cls.from_num_den(Polynomial(arity, terms),
-                                [linear_form(a, b, arity)
-                                 for a, b in data["den"]])
+        den = []
+        for pair in data["den"]:
+            # x_a - x_b, or x_a when b = 0
+            if not (type(pair) is list and len(pair) == 2
+                    and all(type(i) is int for i in pair)
+                    and 0 <= pair[1] < pair[0] <= arity):
+                raise ParseError("denominator %r is not a pair a, b of "
+                                 "integers with 0 <= b < a <= %d"
+                                 % (pair, arity))
+            den.append(linear_form(pair[0], pair[1], arity))
+        return cls.from_num_den(Polynomial(arity, terms), den)
 
     @classmethod
     def from_json(cls, s):

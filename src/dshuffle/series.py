@@ -269,22 +269,34 @@ def stuffle_exp(nu, max_depth):
 
 
 def _ihara_action_homogeneous(f, g, deg_f):
-    """circ-formula for a homogeneous depth-r component acting on depth-s."""
+    """circ-formula for a homogeneous depth-r component acting on depth-s.
+
+    Each f-term is f at the differences x_(b_k) - x_(b_0), k = 1..r, of
+    distinct slots b_0, .., b_r (with x_0 = 0), which is u = unreduce(f)
+    at y_k -> x_(b_k).  So f is substituted once, and every term with
+    b_0 > 0 is a relabel of u; the term with b_0 = 0 is f itself.
+    """
     r, s = f.arity, g.arity
     n = r + s
     sign = QQ(1) if (deg_f + r) % 2 == 0 else QQ(-1)
+    u = unreduce(f)
+
+    def f_at(labels):
+        # u at y_k -> x_(labels[k])
+        return u.substitute_affine([var_vector(n, j) for j in labels], n)
+
     parts = []
     for i in range(0, s + 1):
-        f_imgs = [diff_vector(n, i + k, i) for k in range(1, r + 1)]
+        # f(x_(i+1) - x_i, .., x_(i+r) - x_i), with x_0 = 0
+        f_i = f_at(range(i, i + r + 1)) if i else f.extended(n)
         g_imgs = ([var_vector(n, j) for j in range(1, i + 1)]
                   + [var_vector(n, j) for j in range(i + r + 1, n + 1)])
-        parts.append(f.substitute_affine(f_imgs, n)
-                     * g.substitute_affine(g_imgs, n))
+        parts.append(f_i * g.substitute_affine(g_imgs, n))
     for i in range(1, s + 1):
-        f_imgs = [diff_vector(n, i + r - k, i + r) for k in range(1, r + 1)]
+        # f(x_(i+r-1) - x_(i+r), .., x_i - x_(i+r))
         g_imgs = ([var_vector(n, j) for j in range(1, i)]
                   + [var_vector(n, j) for j in range(i + r, n + 1)])
-        parts.append((f.substitute_affine(f_imgs, n)
+        parts.append((f_at(range(i + r, i - 1, -1))
                       * g.substitute_affine(g_imgs, n))
                      .scale(sign))
     return rf_sum_a(n, parts)

@@ -40,6 +40,41 @@ def random_rf(rng, arity, num_degree=2, den_factors=2, terms=3):
     return RationalFunction.from_num_den(num, den)
 
 
+def agrees_pointwise(value, oracle, rng, arity, points=3):
+    """Whether value and oracle agree at random rational points off the
+    poles; the oracle evaluates by hand, with no substitution kernel."""
+    checked = 0
+    for _ in range(20 * points):
+        x = tuple(QQ(rng.randint(-60, 60), rng.randint(1, 17))
+                  for _ in range(arity))
+        try:
+            expect = oracle(x)
+            got = value.evaluate(x)
+        except ZeroDivisionError:
+            continue
+        if got != expect:
+            return False
+        checked += 1
+        if checked == points:
+            return True
+    raise AssertionError("no point off the poles")
+
+
+def spy_substitutions(monkeypatch):
+    """Record every value substituted with an image other than 0 or a
+    single variable x_j, i.e. every substitution that is not a relabel."""
+    seen = []
+    substitute = RationalFunction.substitute_affine
+
+    def spy(self, images, target_arity):
+        if not all(img[0] == 0 and min(img) >= 0 and sum(img) <= 1
+                   for img in images):
+            seen.append(self)
+        return substitute(self, images, target_arity)
+    monkeypatch.setattr(RationalFunction, "substitute_affine", spy)
+    return seen
+
+
 @pytest.fixture
 def rng():
     return make_rng(20240817)

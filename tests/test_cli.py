@@ -114,6 +114,25 @@ class TestBracketRes:
                                 "--depth", "1")
         assert_usage_error(code, out, err)
 
+    def test_res_float_denominator_index(self, capsys, tmp_path):
+        # the message names the pair as written, not a truncated a=1 b=0
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps({"max_depth": 1, "components": {
+            "1": {"arity": 1, "num": [[1, 1, [0]]], "den": [[1.5, 0]]}}}))
+        code, out, err = invoke(capsys, "res", "--element", str(path),
+                                "--depth", "1")
+        assert_usage_error(code, out, err)
+        assert "[1.5, 0]" in err and "a=1" not in err
+
+    def test_res_bool_denominator_index(self, capsys, tmp_path):
+        # true is not read as x1
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"max_depth": 1, "components": {
+            "1": {"arity": 1, "num": [[1, 1, [0]]], "den": [[True, 0]]}}}))
+        code, out, err = invoke(capsys, "res", "--element", str(path),
+                                "--depth", "1")
+        assert_usage_error(code, out, err)
+
 
 def assert_usage_error(code, out, err):
     """Exit 2, nothing on stdout, one error line on stderr."""

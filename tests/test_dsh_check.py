@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from dshuffle.rationals import QQ
@@ -10,8 +12,10 @@ from dshuffle.dsh_check import (all_pass, check_dihedral, check_lambda_form,
                                 is_in_pls, sharp_eval, summary_line)
 from dshuffle.gens import (c_n, psi_minus_one, psi_odd, psi_odd_component,
                            psi_zero, z3, Q4)
+from dshuffle.words import lie_projector
 
-from conftest import mono
+from conftest import (agrees_pointwise, make_rng, mono, random_rf,
+                      spy_substitutions)
 
 
 class TestShuffleFamily:
@@ -34,6 +38,99 @@ class TestShuffleFamily:
         total = (sharp_eval(f, (1, 2, 3)) + sharp_eval(f, (2, 1, 3))
                  + sharp_eval(f, (2, 3, 1)))
         assert total.equals(check_shuffle(f, 1, 2).residual)
+
+
+def _shuffle_words(p, q):
+    """The shuffles of 1..p and p+1..p+q, by the positions of 1..p."""
+    n = p + q
+    for pos in combinations(range(n), p):
+        left, right = iter(range(1, p + 1)), iter(range(p + 1, n + 1))
+        yield tuple(next(left) if i in pos else next(right)
+                    for i in range(n))
+
+
+def _prefix_point(x, word):
+    """(x_w1, x_w1 + x_w2, ..) for a point x indexed from 1."""
+    out, acc = [], 0
+    for i in word:
+        acc += x[i - 1]
+        out.append(acc)
+    return tuple(out)
+
+
+def _sharp_sum_at(f, p, q, x):
+    return sum(f.evaluate(_prefix_point(x, w)) for w in _shuffle_words(p, q))
+
+
+class TestSharpOracle:
+    """The sharp checks against evaluation of f at random points."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_sharp_eval_every_shuffle_word(self, n):
+        rng = make_rng(100 + n)
+        f = random_rf(rng, n, 2, 2)
+        for p in range(1, n // 2 + 1):
+            for w in _shuffle_words(p, n - p):
+                assert agrees_pointwise(
+                    sharp_eval(f, w),
+                    lambda x: f.evaluate(_prefix_point(x, w)), rng, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_shuffle_and_linearized_residuals(self, n):
+        rng = make_rng(200 + n)
+        f = random_rf(rng, n, 3, 2)
+        for p in range(1, n // 2 + 1):
+            q = n - p
+            sharp_sum = lambda x: _sharp_sum_at(f, p, q, x)
+            assert agrees_pointwise(check_shuffle(f, p, q).residual,
+                                     sharp_sum, rng, n)
+            assert agrees_pointwise(
+                check_linearized(f, p, q, sharp=True).residual,
+                sharp_sum, rng, n)
+            assert agrees_pointwise(
+                check_linearized(f, p, q, sharp=False).residual,
+                lambda x: sum(f.evaluate(tuple(x[i - 1] for i in w))
+                              for w in _shuffle_words(p, q)), rng, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_lambda_form_residual(self, n):
+        rng = make_rng(300 + n)
+        f = random_rf(rng, n, 2, 2)
+        word = tuple(range(1, n + 1))
+
+        def oracle(x):
+            total = -n * f.evaluate(_prefix_point(x, word))
+            for w, c in lie_projector(word).items():
+                total += c * f.evaluate(_prefix_point(x, w))
+            return total
+        assert agrees_pointwise(check_lambda_form(f, sharp=True).residual,
+                                 oracle, rng, n)
+
+    def test_oracle_sees_a_wrong_word(self):
+        rng = make_rng(400)
+        f = parse("x1^1x2^2/(x3*(x2-x1))", 3)
+        assert not agrees_pointwise(
+            sharp_eval(f, (2, 1, 3)),
+            lambda x: f.evaluate(_prefix_point(x, (1, 2, 3))), rng, 3)
+
+
+class TestOneSubstitutionPerCheck:
+    def test_shuffle_substitutes_f_once(self, monkeypatch):
+        f = random_rf(make_rng(500), 5, 2, 2)
+        seen = spy_substitutions(monkeypatch)
+        for p in (1, 2):
+            check_shuffle(f, p, 5 - p)
+        assert seen == [f, f]
+
+    def test_lambda_and_linearized(self, monkeypatch):
+        f = random_rf(make_rng(501), 4, 2, 2)
+        seen = spy_substitutions(monkeypatch)
+        check_lambda_form(f, sharp=True)
+        check_linearized(f, 2, 2, sharp=True)
+        assert seen == [f, f]
+        check_lambda_form(f, sharp=False)
+        check_linearized(f, 1, 3, sharp=False)
+        assert seen == [f, f]
 
 
 class TestStuffleFamily:

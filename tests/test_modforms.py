@@ -105,6 +105,14 @@ class TestExceptional:
     def test_e_in_pls4(self):
         assert all_pass(is_in_pls(exceptional_e(S12)))
 
+    @pytest.mark.parametrize("weight", [16, 18])
+    def test_e_in_pls4_beyond_weight12(self, weight):
+        # the exceptional element of the first even period polynomial
+        # satisfies the linearized double shuffle equations
+        e = exceptional_e(period_space(weight, "even")[0])
+        assert not e.is_zero()
+        assert all_pass(is_in_pls(e))
+
     def test_rejects_nonvanishing_input(self):
         with pytest.raises(ValueError):
             exceptional_e(p_even_generator(12))

@@ -815,6 +815,33 @@ class TestSerialization:
             RationalFunction.from_json_dict(
                 {"arity": 2, "num": terms, "den": []})
 
+    @pytest.mark.parametrize("arity", [-1, True, 1.5, "2", None],
+                             ids=["negative", "bool", "float", "string",
+                                  "null"])
+    def test_json_rejects_bad_arity(self, arity):
+        with pytest.raises(ParseError):
+            RationalFunction.from_json_dict(
+                {"arity": arity, "num": [], "den": []})
+
+    def test_json_arity_zero_round_trips(self):
+        c = RationalFunction.const(0, QQ(-3, 4))
+        assert RationalFunction.from_json(c.to_json()).equals(c)
+
+    @pytest.mark.parametrize("den", [
+        [[True, 0]],      # read as x1
+        [[2, False]],     # read as x2
+        [[1.5, 0]],       # a bare TypeError
+        [[2, 0.0]],
+        [[3, 0]], [[1, 1]], [[1, 2]], [[2, -1]],
+        [[2]], [[2, 1, 0]], [2], ["x2"], [{"a": 2, "b": 1}],
+    ], ids=["bool-a", "bool-b", "float-a", "float-b", "a-past-arity",
+            "a-equals-b", "a-below-b", "negative-b", "one-entry",
+            "three-entries", "bare-int", "string", "object"])
+    def test_json_rejects_bad_den(self, den):
+        with pytest.raises(ParseError):
+            RationalFunction.from_json_dict(
+                {"arity": 2, "num": [[1, 1, [0, 0]]], "den": den})
+
     def test_parse_rejects_x0(self):
         with pytest.raises(ParseError):
             parse("x0")

@@ -12,7 +12,8 @@ from dshuffle.series import (DepthSeries, cyclic_rotate, dihedral_bracket,
 from dshuffle.gens import (mu_minus, mu_plus, nu_series, psi_minus_one,
                            psi_odd, psi_odd_component, s_d, vine_rat, Vine)
 
-from conftest import make_rng, mono, random_rf
+from conftest import (agrees_pointwise, make_rng, mono, random_rf,
+                      spy_substitutions)
 
 
 class TestCoordinates:
@@ -177,6 +178,73 @@ class TestIharaAction:
         f, g = mono(2), psi_odd_component(1, 2)
         out = ihara_action_component(f, g)
         assert out.weight() == f.weight() + g.weight()
+
+
+def _circ_at(f, g, deg_f, x):
+    """The circ formula for homogeneous f of degree deg_f acting on g,
+    evaluated at the point x (x_0 = 0) by evaluating f and g."""
+    r, s = f.arity, g.arity
+    xs = (0,) + tuple(x)
+    sign = 1 if (deg_f + r) % 2 == 0 else -1
+    total = 0
+    for i in range(s + 1):
+        f_at = tuple(xs[i + k] - xs[i] for k in range(1, r + 1))
+        g_at = xs[1:i + 1] + xs[i + r + 1:]
+        total += f.evaluate(f_at) * g.evaluate(g_at)
+    for i in range(1, s + 1):
+        f_at = tuple(xs[i + r - k] - xs[i + r] for k in range(1, r + 1))
+        g_at = xs[1:i] + xs[i + r:]
+        total += sign * f.evaluate(f_at) * g.evaluate(g_at)
+    return total
+
+
+class TestIharaOracle:
+    """ihara_action_component against the circ formula evaluated at
+    random rational points off the poles."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_random_polar_inputs(self, r, s):
+        rng = make_rng(10 * r + s)
+        for num_degree in (2, 3):   # both signs of the second sum
+            f = random_rf(rng, r, num_degree, 1, terms=2)
+            g = random_rf(rng, s, 2, 1, terms=2)
+            assert agrees_pointwise(
+                ihara_action_component(f, g),
+                lambda x: _circ_at(f, g, f.degree(), x), rng, r + s)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_polar_monomials(self, s):
+        rng = make_rng(40 + s)
+        g = random_rf(rng, s, 3, 2, terms=2)
+        for k in (-2, -1, 3):
+            assert agrees_pointwise(
+                ihara_action_component(mono(k), g),
+                lambda x: _circ_at(mono(k), g, k, x), rng, 1 + s)
+        if s == 1:
+            assert agrees_pointwise(
+                ihara_action_component(g, mono(-2)),
+                lambda x: _circ_at(g, mono(-2), g.degree(), x), rng, 2)
+
+    def test_inhomogeneous_left_argument(self):
+        # each homogeneous piece acts with its own sign
+        rng = make_rng(50)
+        g = random_rf(rng, 2, 2, 1, terms=2)
+        assert agrees_pointwise(
+            ihara_action_component(mono(-2) + mono(3), g),
+            lambda x: _circ_at(mono(-2), g, -2, x)
+            + _circ_at(mono(3), g, 3, x), rng, 3)
+
+    def test_one_substitution_per_homogeneous_piece(self, monkeypatch):
+        # every other substitution is a relabel: each image is 0 or x_j
+        seen = spy_substitutions(monkeypatch)
+        rng = make_rng(60)
+        f = random_rf(rng, 3, 2, 1, terms=2)
+        ihara_action_component(f, random_rf(rng, 3, 2, 1, terms=2))
+        assert [h.arity for h in seen] == [3]
+        del seen[:]
+        ihara_action_component(mono(-2) + mono(3), random_rf(rng, 2, 2, 1))
+        assert [h.arity for h in seen] == [1, 1]
 
 
 class TestDihedralOperators:
