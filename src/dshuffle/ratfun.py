@@ -305,19 +305,8 @@ class Polynomial:
         if not a or not b:
             return Polynomial(self.arity)
         _check_degree(a, _degree(b))
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        get = out.get
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = ma + mb
-                s = get(m, 0) + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return _poly(self.arity, self.content * other.content, out)
+        return _poly(self.arity, self.content * other.content,
+                     _product(a, b))
 
     def mul_form(self, form):
         """Multiply by the affine form c0 + sum ci*xi (rational entries
@@ -369,36 +358,10 @@ class Polynomial:
                 break
         else:
             return _primitive(target_arity, self.content,
-                              self._relabel(targets, target_arity))
+                              _relabel(self.ints, _relabelling(
+                                  self.arity, targets, target_arity)))
         return _primitive(target_arity, self.content,
                           _horner(self.ints, self.arity, images, target_arity))
-
-    def _relabel(self, targets, target_arity):
-        """x_i -> x_targets[i-1], where target 0 means x_i -> 0."""
-        moves = [(_shift(self.arity, i),
-                  t and (1 << _shift(target_arity, t)) + 1)
-                 for i, t in enumerate(targets, 1)]
-        out = {}
-        get = out.get
-        for k, c in self.ints.items():
-            mm = 0
-            for shift, unit in moves:
-                e = k >> shift & _MASK
-                if e:
-                    if not unit:
-                        break
-                    mm += e * unit
-            else:
-                old = get(mm)
-                if old is None:
-                    out[mm] = c
-                else:
-                    s = old + c
-                    if s:
-                        out[mm] = s
-                    else:
-                        del out[mm]
-        return out
 
     def evaluate(self, point):
         """Evaluate at a tuple of rationals."""
@@ -608,6 +571,24 @@ def _accumulate(out, ints, k=1):
                 del out[m]
 
 
+def _product(a, b):
+    """The integer terms of a * b; the caller makes sure that the sum of
+    their degrees stays below the field limit."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    get = out.get
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = ma + mb
+            s = get(m, 0) + ca * cb
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+    return out
+
+
 def _times_form(ints, form):
     """ints * (form[0] + form[1]*x1 + ..) for an integer form; the caller
     makes sure that the degree of ints is below the field limit."""
@@ -629,6 +610,38 @@ def _times_form(ints, form):
                 out[mm] = ci * c
             else:
                 s = old + ci * c
+                if s:
+                    out[mm] = s
+                else:
+                    del out[mm]
+    return out
+
+
+def _relabelling(arity, targets, target_arity):
+    """The moves of x_i -> x_targets[i-1], where target 0 means x_i -> 0,
+    for _relabel: the field of x_i and the unit of its target (0 for 0)."""
+    return [(_shift(arity, i), t and (1 << _shift(target_arity, t)) + 1)
+            for i, t in enumerate(targets, 1)]
+
+
+def _relabel(ints, moves):
+    """The terms relabelled by the moves of _relabelling."""
+    out = {}
+    get = out.get
+    for k, c in ints.items():
+        mm = 0
+        for shift, unit in moves:
+            e = k >> shift & _MASK
+            if e:
+                if not unit:
+                    break
+                mm += e * unit
+        else:
+            old = get(mm)
+            if old is None:
+                out[mm] = c
+            else:
+                s = old + c
                 if s:
                     out[mm] = s
                 else:
@@ -1143,12 +1156,18 @@ class RationalFunction:
             raise ParseError("arity %r is not a non-negative integer"
                              % (arity,))
         terms = {}
-        for p, q, exps in data["num"]:
+        for entry in data["num"]:
+            if not (type(entry) is list and len(entry) == 3
+                    and type(entry[2]) is list):
+                raise ParseError("numerator term %r is not a list [p, q, "
+                                 "exponents]" % (entry,))
+            p, q, exps = entry
             if not (type(p) is int and type(q) is int and p and q):
                 raise ParseError("coefficient %r/%r is not a ratio of nonzero "
                                  "integers" % (p, q))
             if len(exps) != arity:
-                raise ParseError("exponent tuple of wrong length")
+                raise ParseError("exponents %r do not have length %d"
+                                 % (exps, arity))
             if not all(type(e) is int and e >= 0 for e in exps):
                 raise ParseError("exponents %r are not non-negative integers"
                                  % (exps,))

@@ -14,8 +14,8 @@ silently wrong high-depth component is ever produced.
 from __future__ import annotations
 
 from .rationals import QQ, ZERO, ONE, rat, rat_from_str, rat_str
-from .ratfun import (ArityMismatch, RationalFunction, diff_vector,
-                     rf_sum_a, var_vector)
+from .ratfun import (ArityMismatch, ParseError, RationalFunction,
+                     diff_vector, rf_sum_a, var_vector)
 
 
 class TranslationError(ValueError):
@@ -139,8 +139,12 @@ class DepthSeries:
 
     @classmethod
     def from_json_dict(cls, data):
-        comps = {int(d): RationalFunction.from_json_dict(f)
-                 for d, f in data["components"].items()}
+        comps = {}
+        for d, f in data["components"].items():
+            if not (d.isascii() and d.isdigit() and int(d) > 0):
+                raise ParseError("component key %r is not a positive depth"
+                                 % (d,))
+            comps[int(d)] = RationalFunction.from_json_dict(f)
         return cls(comps, data["max_depth"], weight=data.get("weight"),
                    const=rat_from_str(data.get("const", "0")),
                    complete=data.get("complete") is True)

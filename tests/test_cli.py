@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dshuffle import anatomy, gens
 from dshuffle.cli import emit, run
 from dshuffle.rationals import QQ
@@ -132,6 +134,27 @@ class TestBracketRes:
         code, out, err = invoke(capsys, "res", "--element", str(path),
                                 "--depth", "1")
         assert_usage_error(code, out, err)
+
+
+    def test_res_short_numerator_term(self, capsys, tmp_path):
+        # the message names the term, not a failed tuple unpacking
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"max_depth": 1, "components": {
+            "1": {"arity": 1, "num": [[1, 1]], "den": []}}}))
+        code, out, err = invoke(capsys, "res", "--element", str(path),
+                                "--depth", "1")
+        assert_usage_error(code, out, err)
+        assert "[1, 1]" in err and "unpack" not in err
+
+    @pytest.mark.parametrize("key", ["x", "-1", "0", "1.0", " 1"])
+    def test_res_bad_component_key(self, capsys, tmp_path, key):
+        path = tmp_path / "key.json"
+        path.write_text(json.dumps({"max_depth": 1, "components": {
+            key: {"arity": 1, "num": [[1, 1, [0]]], "den": []}}}))
+        code, out, err = invoke(capsys, "res", "--element", str(path),
+                                "--depth", "1")
+        assert_usage_error(code, out, err)
+        assert repr(key) in err and "int()" not in err
 
 
 def assert_usage_error(code, out, err):

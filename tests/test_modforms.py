@@ -1,8 +1,14 @@
-import pytest
+import itertools
 
+import pytest
+import sympy
+
+from dshuffle import linalg, modforms, ratfun
 from dshuffle.rationals import QQ
-from dshuffle.ratfun import Polynomial, RationalFunction
-from dshuffle.modforms import (bracket_kernel_ls2, c2_space,
+from dshuffle.ratfun import (Polynomial, RationalFunction, coefficient_rows,
+                             var_vector)
+from dshuffle.modforms import (_MINUS_U, _SWAP, _U, _U2, _monomials,
+                               bracket_kernel_ls2, c2_space,
                                dimension_series, exceptional_e,
                                lie3_dimensions, lin_ds_nullspace,
                                ls_dimension, p_even_generator, period_space,
@@ -210,3 +216,206 @@ class TestC2:
             rhs = pi2(RationalFunction.from_poly(
                 Polynomial(2, {(2 * a, 2 * b - 1): QQ(1)})))
             assert lhs.equals(rhs) or lhs.equals(-rhs)
+
+
+# ---------------------------------------------------------------------------
+# the condition rows against an independent oracle
+
+
+def _interleavings(p, q):
+    """The shuffles of (1..p) and (p+1..p+q), by choosing the positions of
+    the first word."""
+    n = p + q
+    out = []
+    for slots in itertools.combinations(range(n), p):
+        first, second = iter(range(1, p + 1)), iter(range(p + 1, n + 1))
+        out.append(tuple(next(first) if i in slots else next(second)
+                         for i in range(n)))
+    return out
+
+
+def _ls_ansatz(depth, weight, poles):
+    """The ansatz x^e / D of lin_ds_nullspace as plain functions of a
+    point, D = x1 (x2 - x1) .. (xn - x(n-1)) xn with poles, else 1."""
+    degree = weight + 1 if poles else weight - depth
+    exps = [e for e in itertools.product(range(max(degree, 0) + 1),
+                                         repeat=depth) if sum(e) == degree]
+
+    def element(e):
+        def f(x):
+            value = QQ(1)
+            for xi, k in zip(x, e):
+                value *= xi ** k
+            if poles:
+                den = x[0] * x[-1]
+                for i in range(1, depth):
+                    den *= x[i] - x[i - 1]
+                value /= den
+            return value
+        return f
+    return [element(e) for e in exps]
+
+
+def _ls_conditions(depth):
+    """The linearized conditions as maps f -> (point -> value)."""
+    conditions = []
+    for p in range(1, depth // 2 + 1):
+        words = _interleavings(p, depth - p)
+        conditions.append(lambda f, words=words: lambda x: sum(
+            f([x[w - 1] for w in word]) for word in words))
+        conditions.append(lambda f, words=words: lambda x: sum(
+            f(list(itertools.accumulate(x[w - 1] for w in word)))
+            for word in words))
+    if depth == 1:
+        conditions.append(lambda f: lambda x: f(x) - f([-x[0]]))
+    return conditions
+
+
+def _oracle_dimension(elements, conditions, arity, rng):
+    """Kernel dimension of the conditions on the span of the elements,
+    from their values at random rational points off the poles, by
+    sympy's nullspace."""
+    n = len(elements)
+    if n == 0:
+        return 0
+    rows = []
+    for condition in conditions:
+        values = [condition(f) for f in elements]
+        points = 0
+        while points < n + 3:
+            x = [QQ(rng.randint(-40, 40), rng.randint(1, 9))
+                 for _ in range(arity)]
+            try:
+                rows.append([v(x) for v in values])
+            except ZeroDivisionError:
+                continue
+            points += 1
+    matrix = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator)
+                            for c in row] for row in rows])
+    return len(matrix.nullspace())
+
+
+def _period_conditions(odd):
+    conditions = [
+        lambda f: lambda x: f(x[0], x[1]) + f(x[1], x[0]),
+        lambda f: lambda x: (f(x[0], x[1]) + f(x[0] - x[1], x[0])
+                             + f(-x[1], x[0] - x[1]))]
+    if not odd:
+        conditions.append(lambda f: lambda x: f(x[0], 0))
+    return conditions
+
+
+def _c2_conditions():
+    return [lambda f: lambda x: f(x[0], x[1]) + f(x[1], x[0]),
+            lambda f: lambda x: (f(x[0], x[1]) + f(x[1] - x[0], -x[0])
+                                 + f(-x[1], x[0] - x[1]))]
+
+
+def _bivariate(exps):
+    return [lambda x, y, a=a, b=b: QQ(x) ** a * QQ(y) ** b for a, b in exps]
+
+
+class TestRowOracle:
+    @pytest.mark.parametrize("depth, weight, poles", [
+        (1, 5, False), (1, 6, False), (1, -1, True), (1, 3, True),
+        (2, 10, False), (2, 14, False), (2, 9, True), (2, 10, True),
+        (3, 9, False), (3, 11, False), (3, 5, True), (3, 7, True),
+    ])
+    def test_lin_ds_dimension_and_checks(self, depth, weight, poles, rng):
+        basis = lin_ds_nullspace(depth, weight, allow_poles=poles)
+        assert len(basis) == _oracle_dimension(
+            _ls_ansatz(depth, weight, poles), _ls_conditions(depth),
+            depth, rng)
+        for b in basis:
+            assert all_pass(is_in_pls(b))
+
+    @pytest.mark.parametrize("weight", range(4, 15, 2))
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_period_space(self, weight, parity, rng):
+        odd = parity == "odd"
+        d = weight - 2
+        exps = [(a, d - a) for a in range(d + 1) if a % 2 == odd]
+        basis = period_space(weight, parity)
+        assert len(basis) == _oracle_dimension(
+            _bivariate(exps), _period_conditions(odd), 2, rng)
+        for b in basis:
+            f = RationalFunction.from_poly(b.poly)
+            assert not f.is_zero()
+            assert (f + f.substitute_affine(_SWAP, 2)).is_zero()
+            assert (f + f.substitute_affine(_U, 2)
+                    + f.substitute_affine(_U2, 2)).is_zero()
+            if not odd:
+                assert f.substitute_affine(
+                    [var_vector(2, 1), var_vector(2, 0)], 2).is_zero()
+
+    @pytest.mark.parametrize("degree", range(2, 13))
+    def test_c2_space(self, degree, rng):
+        exps = [(a, degree - a) for a in range(degree + 1)]
+        basis = c2_space(degree)
+        assert len(basis) == _oracle_dimension(
+            _bivariate(exps), _c2_conditions(), 2, rng)
+        for b in basis:
+            f = RationalFunction.from_poly(b)
+            assert (f + f.substitute_affine(_SWAP, 2)).is_zero()
+            assert (f + f.substitute_affine(_MINUS_U, 2)
+                    + f.substitute_affine(_U2, 2)).is_zero()
+
+    def test_no_substitution_or_sum_per_monomial(self, monkeypatch):
+        # the rows come from the images of the monomials under each ring
+        # map, built one form product per monomial: no value is
+        # substituted or summed, and no Horner pass runs
+        calls = []
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+        for cls in (Polynomial, RationalFunction):
+            monkeypatch.setattr(cls, "substitute_affine", spy(
+                "substitute_affine", cls.substitute_affine))
+        monkeypatch.setattr(modforms, "rf_sum_a",
+                            spy("rf_sum_a", modforms.rf_sum_a))
+        monkeypatch.setattr(ratfun, "rf_sum_a",
+                            spy("rf_sum_a", ratfun.rf_sum_a))
+        monkeypatch.setattr(ratfun, "_horner", spy("_horner", ratfun._horner))
+        monkeypatch.setattr(modforms, "_times_form",
+                            spy("_times_form", modforms._times_form))
+        assert len(lin_ds_nullspace(3, 11)) == 1
+        assert len(lin_ds_nullspace(3, 7, allow_poles=True)) == 3
+        assert len(period_space(12, "even")) == 1
+        assert len(c2_space(7)) == 3
+        assert "_times_form" in calls
+        assert [c for c in calls if c != "_times_form"] == []
+        # one form product per monomial of each degree, for each map
+        # other than the identity (P in depth 3, U and U2 (twice) in two
+        # variables), and a few per term for the cofactors
+        bound = 100 + (sum(len(_monomials(3, d)) for d in range(1, 9))
+                 + sum(len(_monomials(3, d)) for d in range(1, 9))
+                 + 2 * sum(len(_monomials(2, d)) for d in range(1, 11))
+                 + 2 * sum(len(_monomials(2, d)) for d in range(1, 8)))
+        assert calls.count("_times_form") <= bound
+
+
+class TestDimensionPins:
+    """Broadhurst-Kreimer predictions (hep-th/9609128) for the
+    depth-graded Lie algebra dimensions, and the exceptional element of
+    weight 16 inside ls4."""
+
+    @pytest.fixture(scope="class")
+    def ls4_16(self):
+        return lin_ds_nullspace(4, 16)
+
+    @pytest.mark.parametrize("depth, weight, dim", [
+        (3, 19, 5), (3, 21, 6), (4, 14, 1)])
+    def test_predicted_dimension(self, depth, weight, dim):
+        assert ls_dimension(depth, weight) == dim
+
+    def test_ls4_weight16(self, ls4_16):
+        assert len(ls4_16) == 3
+
+    def test_e16_in_ls4_weight16(self, ls4_16):
+        # the rank of the basis plus e_16 stays 3
+        e = exceptional_e(period_space(16, "even")[0])
+        kernel = linalg.nullspace(coefficient_rows(ls4_16 + [e]), 4)
+        assert len(kernel) == 1 and kernel[0][3] != 0

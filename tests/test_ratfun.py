@@ -1,3 +1,4 @@
+import re
 from math import gcd
 
 import pytest
@@ -841,6 +842,20 @@ class TestSerialization:
         with pytest.raises(ParseError):
             RationalFunction.from_json_dict(
                 {"arity": 2, "num": [[1, 1, [0, 0]]], "den": den})
+
+    @pytest.mark.parametrize("term", [
+        [1, 1], [1, 1, [0, 0], 0], [], 3, [1, 1, 0], {"p": 1},
+    ], ids=["two-entries", "four-entries", "empty", "bare-int",
+            "int-exponents", "object"])
+    def test_json_rejects_bad_num_term(self, term):
+        with pytest.raises(ParseError, match=re.escape(repr(term))):
+            RationalFunction.from_json_dict(
+                {"arity": 2, "num": [term], "den": []})
+
+    def test_json_rejects_exponents_of_wrong_length(self):
+        with pytest.raises(ParseError, match=re.escape("[1, 0, 2]")):
+            RationalFunction.from_json_dict(
+                {"arity": 2, "num": [[1, 1, [1, 0, 2]]], "den": []})
 
     def test_parse_rejects_x0(self):
         with pytest.raises(ParseError):
