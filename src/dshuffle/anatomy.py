@@ -223,10 +223,9 @@ def congruence_check(value, prime):
         items = [value]
     for f in items:
         for c in f.num.terms.values():
-            p, q = int(c.numerator), int(c.denominator)
-            if q % prime == 0:
+            if c.denominator % prime == 0:
                 raise ValueError("denominator not coprime to %d" % prime)
-            if p % prime != 0:
+            if c.numerator % prime != 0:
                 return False
     return True
 

@@ -12,23 +12,16 @@ substitution terms (weight, pre, targets), each sending f to weight times
 f o pre relabelled x_j -> x_targets[j-1].  The (p,q) linearized shuffle
 and stuffle terms take pre = P (prefix sums) or the identity and the
 shuffle words as targets; the period relations take the PSL2(Z) images
-and the swap.  Every condition's integer rows are built from the images
-pre(x^e), one form product per monomial.  Column e holds the cleared
-numerator N_e = L * C * r_e, where r_e is the condition's value on
-x^e / D, C the lcm of the terms' images of D and L clears the weights;
-L * C is nonzero, so the kernel is that of the values (see _kernel).
+and the swap.  ratfun.condition_rows turns the conditions into integer
+rows with the kernel of the conditions' values.
 """
 
 from __future__ import annotations
 
-from math import lcm
-
 from .rationals import QQ
-from .ratfun import (_MASK, PoleOrderError, Polynomial, RationalFunction,
-                     _accumulate, _pack, _product, _relabel, _relabelling,
-                     _shift, _times_form, coefficient_rows, diff_vector,
-                     form_substitute, form_text, linear_form, rf_sum_a,
-                     var_vector)
+from .ratfun import (Polynomial, RationalFunction, coefficient_rows,
+                     condition_rows, diff_vector, linear_form, monomials,
+                     rf_sum_a, var_vector)
 from . import linalg
 from .dsh_check import _prefix_images
 from .gens import c_n
@@ -101,153 +94,20 @@ def lie3_dimensions(gen_dims, bound):
 # solution spaces of linear conditions
 
 
-def _monomials(arity, degree):
-    if degree < 0:
-        return []
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), degree, arity)
-    return out
-
-
-def _monomial_images(images, monomials):
-    """The integer terms of m(images), the monomial m with x_i ->
-    images[i-1] (integer forms in as many variables), for each of the
-    monomials, which share one degree.
-
-    The images are built degree by degree: the image of m is the image
-    of m / x_i times images[i-1], one form product, for the x_i of m whose
-    image has the fewest terms, and only the previous degree's images are
-    kept.  No step raises the degree above that of m."""
-    arity = len(images)
-    keys = [_pack(arity, m) for m in monomials]
-    if not keys or images == _identity(arity):
-        return [{k: 1} for k in keys]
-    steps = [(_shift(arity, i), (1 << _shift(arity, i)) + 1, images[i - 1])
-             for i in sorted(range(1, arity + 1),
-                             key=lambda i: sum(map(bool, images[i - 1])))]
-    layer = {0: {0: 1}}
-    for d in range(1, sum(monomials[0]) + 1):
-        prev, layer = layer, {}
-        for m in _monomials(arity, d):
-            k = _pack(arity, m)
-            unit, img = next((unit, img) for s, unit, img in steps
-                             if k >> s & _MASK)
-            layer[k] = _times_form(prev[k - unit], img)
-    return [layer[k] for k in keys]
-
-
-def _identity(n):
-    return tuple(var_vector(n, i) for i in range(1, n + 1))
-
-
-def _term_images(pre, targets):
-    """The images of x_1, .., x_n under a term: pre, then x_j ->
-    x_targets[j-1]."""
-    out = []
-    for img in pre:
-        v = [img[0]] + [0] * len(targets)
-        for c, t in zip(img[1:], targets):
-            if t:
-                v[t] += c
-        out.append(tuple(v))
-    return out
-
-
-def _condition_rows(arity, monomials, images, condition, den):
-    """The integer rows of one condition (see _kernel); images[pre][j] is
-    the image of monomials[j] under pre.  A cofactor raises the degree
-    of the ansatz by a few forms; _ANSATZ_CAP keeps every ansatz that has
-    one far below the field limit of a packed monomial."""
-    terms = []
-    common = {}
-    for weight, pre, targets in condition:
-        weight = QQ(weight)
-        forms = {}
-        term_images = _term_images(pre, targets)
-        for f, k in den.items():
-            s, g = form_substitute(f, term_images, arity)
-            if g is None:
-                raise PoleOrderError("denominator form %s becomes "
-                                     "identically zero" % form_text(f))
-            weight /= s ** k
-            if g:
-                forms[g] = forms.get(g, 0) + k
-                common[g] = max(common.get(g, 0), forms[g])
-        terms.append((weight, forms, images[pre], targets))
-    scale = lcm(*(weight.denominator for weight, _, _, _ in terms))
-    parts = []
-    for weight, forms, image, targets in terms:
-        # the forms of C that the term's image of D lacks
-        missing = [g for g, k in common.items()
-                   for _ in range(k - forms.get(g, 0))]
-        cofactor = {0: 1} if missing else None
-        for g in missing:
-            cofactor = _times_form(cofactor, g)
-        parts.append(((weight * scale).numerator, cofactor, image,
-                      _relabelling(arity, targets, arity)))
-    columns = []
-    for j in range(len(monomials)):
-        total = {}
-        for weight, cofactor, image, moves in parts:
-            ints = _relabel(image[j], moves)
-            if cofactor:
-                ints = _product(ints, cofactor)
-            _accumulate(total, ints, weight)
-        columns.append(total)
-    keys = sorted(set().union(*columns))
-    return [tuple(column.get(k, 0) for column in columns) for k in keys]
-
-
-def _kernel(arity, monomials, conditions, den=()):
-    """Basis of the combinations of monomials / den that every condition
-    sends to zero, in free-column normal form.
-
-    A condition is a list of terms (weight, pre, targets); a term sends f
-    to weight * (f o pre) relabelled x_j -> x_targets[j-1] (target 0 sends
-    x_j to 0), pre being a tuple of integer affine images, and the
-    condition sends f to the sum of its terms.  A term sends x^e / D to
-    weight / s * relabel(pre(x^e)) / D_t, where D_t is the image of D as
-    canonical forms and s its scalar (a form that goes to zero raises
-    PoleOrderError, one that goes to a constant joins s).  With C the lcm
-    of the D_t of a condition and L the lcm of the denominators of the
-    weight / s, column e of the condition's rows holds the integer
-    coefficients of
-      N_e = sum over terms of L * weight / s * relabel(pre(x^e)) * C / D_t
-          = L * C * r_e,
-    where r_e is the condition's value on x^e / D.  L * C is nonzero, so
-    sum c_e r_e = 0 exactly when sum c_e N_e = 0: the kernel is that of
-    the values.  The images pre(x^e) are built once per distinct pre, one
-    form product per monomial.
-    """
+def _kernel(arity, exps, conditions, den=()):
+    """Basis of the combinations of the monomials x^e / den, e in exps,
+    that every condition sends to zero, in free-column normal form."""
     den = dict(den)
-    images = {}
-    for condition in conditions:
-        for _, pre, _ in condition:
-            if pre not in images:
-                images[pre] = _monomial_images(pre, monomials)
-    # the linearized families repeat many rows, within a condition and
-    # across conditions; each distinct row is reduced once
-    rows = {}
-    for condition in conditions:
-        rows.update(dict.fromkeys(_condition_rows(
-            arity, monomials, images, condition, den)))
     return [RationalFunction.from_num_den(
-                Polynomial(arity, {m: c for m, c in zip(monomials, vec)
+                Polynomial(arity, {m: c for m, c in zip(exps, vec)
                                    if c != 0}), den)
-            for vec in linalg.nullspace(list(rows), len(monomials))]
+            for vec in linalg.nullspace(
+                condition_rows(arity, exps, conditions, den), len(exps))]
 
 
 # substitution images in two variables x = x1, y = x2; U is the order-three
 # element (x, y) -> (x - y, x) of PSL2(Z)
-_ID2 = _identity(2)
+_ID2 = (var_vector(2, 1), var_vector(2, 2))
 _SWAP = (var_vector(2, 2), var_vector(2, 1))                   # (y, x)
 _U = (diff_vector(2, 1, 2), var_vector(2, 1))                  # (x - y, x)
 _U2 = (var_vector(2, 2, negate=True), diff_vector(2, 1, 2))    # (-y, x - y)
@@ -290,13 +150,13 @@ def period_space(weight, parity):
         return []
     odd = parity == "odd"
     # the degree is even, so both exponents of a monomial share a parity
-    monomials = [m for m in _monomials(2, weight - 2) if m[0] % 2 == odd]
+    exps = [m for m in monomials(2, weight - 2) if m[0] % 2 == odd]
     conditions = [_ANTISYMMETRY,
                   [(1, _ID2, (1, 2)), (1, _U, (1, 2)), (1, _U2, (1, 2))]]
     if not odd:
         conditions.append([(1, _ID2, (1, 0))])               # y -> 0
     return [PeriodPolynomial(v.num, parity)
-            for v in _kernel(2, monomials, conditions)]
+            for v in _kernel(2, exps, conditions)]
 
 
 def p_even_generator(weight):
@@ -350,7 +210,8 @@ def _linearized(p, q, sharp):
     prefix sums along w when sharp, summed over the shuffles w of (1..p)
     and (p+1..p+q) (dsh_check.check_linearized)."""
     n = p + q
-    pre = _prefix_images(n) if sharp else _identity(n)
+    pre = (_prefix_images(n) if sharp
+           else tuple(var_vector(n, i) for i in range(1, n + 1)))
     return [(c, pre, w) for w, c in
             shuffle(range(1, p + 1), range(p + 1, n + 1)).items()]
 
@@ -372,19 +233,19 @@ def lin_ds_nullspace(depth, weight, allow_poles=False):
     else:
         den = {}
         num_degree = weight - depth
-    monomials = _monomials(depth, num_degree)
-    if len(monomials) > _ANSATZ_CAP:
+    exps = monomials(depth, num_degree)
+    if len(exps) > _ANSATZ_CAP:
         raise ValueError("ansatz of %d monomials exceeds the cap"
-                         % len(monomials))
+                         % len(exps))
     conditions = [_linearized(p, depth - p, sharp)
                   for p in range(1, depth // 2 + 1) for sharp in (False, True)]
     if depth == 1:
         # evenness constraint from the depth-two stuffle family: the odd
         # part (f(x) - f(-x)) / 2
-        conditions.append([(QQ(1, 2), _identity(1), (1,)),
+        conditions.append([(QQ(1, 2), (var_vector(1, 1),), (1,)),
                            (QQ(-1, 2), (var_vector(1, 1, negate=True),),
                             (1,))])
-    return _kernel(depth, monomials, conditions, den)
+    return _kernel(depth, exps, conditions, den)
 
 
 def ls_dimension(depth, weight, allow_poles=False):
@@ -433,4 +294,4 @@ def c2_space(degree):
     conditions = [_ANTISYMMETRY,
                   [(1, _ID2, (1, 2)), (1, _MINUS_U, (1, 2)),
                    (1, _U2, (1, 2))]]
-    return [v.num for v in _kernel(2, _monomials(2, degree), conditions)]
+    return [v.num for v in _kernel(2, monomials(2, degree), conditions)]

@@ -73,6 +73,10 @@ Kernels:
     monomial are merged and a monomial that uses a zero image is dropped.
     Any other images run a Horner scheme over the source variables whose
     every step multiplies integer terms by an integer form.
+  * condition_rows turns linear conditions given by ring maps into
+    integer rows without substituting a value: one form product per
+    ansatz monomial builds its image under a map, and each term relabels
+    the images and clears them by its cofactor, as _over clears a sum.
   * A substituted value is normalized again (its numerator divided by
     each denominator form that divides it) only when the images' linear
     parts are dependent, e.g. x_a -> x_b, a zero image or a repeated letter.
@@ -122,8 +126,7 @@ import re
 from collections.abc import Mapping
 from math import factorial, gcd, lcm
 
-from .rationals import (QQ, ZERO, ONE, _P, rat, rat_str, rat_from_str,
-                        as_int_pair)
+from .rationals import QQ, ZERO, ONE, _P, rat_str, rat_from_str
 
 
 class ArityMismatch(ValueError):
@@ -210,7 +213,7 @@ class Polynomial:
 
     @classmethod
     def const(cls, arity, c):
-        return cls(arity, {(0,) * arity: rat(c)})
+        return cls(arity, {(0,) * arity: QQ(c)})
 
     @classmethod
     def variable(cls, arity, i, power=1, coeff=1):
@@ -222,7 +225,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, arity, exps, coeff=1):
-        return cls(arity, {tuple(exps): rat(coeff)})
+        return cls(arity, {tuple(exps): QQ(coeff)})
 
     # -- basic queries
 
@@ -772,6 +775,22 @@ def form_substitute(form, images, target_arity):
     return form_normalize(out)
 
 
+def _den_image(den, images, target_arity):
+    """(scalar, counts), the forms of den (form -> power) under the images
+    as in RationalFunction.substitute_affine."""
+    scalar = ONE
+    counts = {}
+    for f, k in den.items():
+        s, g = form_substitute(f, images, target_arity)
+        if g is None:
+            raise PoleOrderError(
+                "denominator form %s becomes identically zero" % form_text(f))
+        scalar *= s ** k
+        if g:
+            counts[g] = counts.get(g, 0) + k
+    return scalar, counts
+
+
 def var_vector(arity, i, negate=False):
     """Integer coefficient tuple of x_i (or -x_i; i = 0 gives 0)."""
     vec = [0] * (arity + 1)
@@ -907,7 +926,7 @@ class RationalFunction:
         return RationalFunction(self.arity, -self.num, dict(self.den))
 
     def scale(self, c):
-        c = rat(c)
+        c = QQ(c)
         if c == 0:
             return RationalFunction.zero(self.arity)
         return RationalFunction(self.arity, self.num.scale(c), dict(self.den))
@@ -1045,16 +1064,7 @@ class RationalFunction:
         """
         if len(images) != self.arity:
             raise ArityMismatch("need one affine image per variable")
-        scalar = ONE
-        counts = {}
-        for f, k in self.den.items():
-            s, nf = form_substitute(f, images, target_arity)
-            if nf is None:
-                raise PoleOrderError(
-                    "denominator form %s becomes identically zero" % form_text(f))
-            scalar *= s ** k
-            if nf:
-                counts[nf] = counts.get(nf, 0) + k
+        scalar, counts = _den_image(self.den, images, target_arity)
         num = self.num.substitute_affine(images, target_arity)
         if scalar != 1:
             num = num.scale(ONE / scalar)
@@ -1139,8 +1149,7 @@ class RationalFunction:
             raise ValueError("widened affine denominators are not serializable")
         num = []
         for m, c in self.num.sorted_terms():
-            p, q = as_int_pair(c)
-            num.append([p, q, list(m)])
+            num.append([c.numerator, c.denominator, list(m)])
         den = []
         for f in self._den_sorted():
             den.extend([list(form_difference_pair(f))] * self.den[f])
@@ -1366,27 +1375,35 @@ def _independent(images):
     return True
 
 
-def _common_den(values):
-    """Least common multiple of the values' denominators, form -> power."""
+def _common_den(dens):
+    """Least common multiple of denominators (form -> power)."""
     common = {}
-    for v in values:
-        for f, k in v.den.items():
+    for den in dens:
+        for f, k in den.items():
             if common.get(f, 0) < k:
                 common[f] = k
     return common
 
 
-def _over(v, common):
-    """Integer numerator of v written over the common denominator: v's
-    numerator over it is v.num.content times these ints."""
-    ints = v.num.ints
-    extra = sum(common.values()) - sum(v.den.values())
+def _over(ints, den, common):
+    """The integer terms ints over den written over the common
+    denominator: ints times each form that den lacks."""
+    extra = sum(common.values()) - sum(den.values())
     if extra:
         _check_degree(ints, extra)
     for f, k in common.items():
-        for _ in range(k - v.den.get(f, 0)):
+        for _ in range(k - den.get(f, 0)):
             ints = _times_form(ints, f)
     return ints
+
+
+def _rows(columns, weights):
+    """One integer row per monomial of the columns, in sorted order;
+    entry i of a row is weights[i] times the monomial's coefficient in
+    columns[i]."""
+    return [[k * ints[m] if m in ints else 0
+             for k, ints in zip(weights, columns)]
+            for m in sorted(set().union(*columns))]
 
 
 def rf_sum_a(arity, values):
@@ -1395,7 +1412,7 @@ def rf_sum_a(arity, values):
         return RationalFunction.zero(arity)
     if any(v.arity != arity for v in values):
         raise ArityMismatch("mixed arities in sum")
-    common = _common_den(values)
+    common = _common_den(v.den for v in values)
     # a form held at its top multiplicity by one summand only cannot
     # divide the sum (see the module docstring)
     holders = dict.fromkeys(common, 0)
@@ -1406,7 +1423,7 @@ def rf_sum_a(arity, values):
     content, factors = _split([v.num.content for v in values])
     total = {}
     for v, k in zip(values, factors):
-        _accumulate(total, _over(v, common), k)
+        _accumulate(total, _over(v.num.ints, v.den, common), k)
     return RationalFunction._normalized(
         arity, _primitive(arity, content, total), dict(common),
         [f for f, n in holders.items() if n > 1])
@@ -1422,14 +1439,123 @@ def coefficient_rows(values):
     content of the values is dropped).  The sum vanishes exactly when c
     is orthogonal to every row.
     """
-    common = _common_den(values)
+    common = _common_den(v.den for v in values)
     _, factors = _split([v.num.content for v in values])
-    cleared = [(k, _over(v, common)) for v, k in zip(values, factors)]
-    monos = set()
-    for _, ints in cleared:
-        monos.update(ints)
-    return [[k * ints[m] if m in ints else 0 for k, ints in cleared]
-            for m in sorted(monos)]
+    return _rows([_over(v.num.ints, v.den, common) for v in values],
+                 factors)
+
+
+# ---------------------------------------------------------------------------
+# rows of linear conditions given by ring maps
+
+
+def monomials(arity, degree):
+    """The exponent tuples of the given total degree, in lex order."""
+    if degree < 0:
+        return []
+    if arity == 1:
+        return [(degree,)]
+    return [(e,) + m for e in range(degree + 1)
+            for m in monomials(arity - 1, degree - e)]
+
+
+def _monomial_images(images, exps):
+    """The integer terms of m(images), the monomial m with x_i ->
+    images[i-1] (integer forms in as many variables), for each m of exps,
+    which share one degree.
+
+    The images are built degree by degree: the image of m is the image
+    of m / x_i times images[i-1], one form product, for the x_i of m whose
+    image has the fewest terms, and only the previous degree's images are
+    kept.  No step raises the degree above that of m."""
+    arity = len(images)
+    keys = [_pack(arity, m) for m in exps]
+    if not keys or images == tuple(var_vector(arity, i)
+                                   for i in range(1, arity + 1)):
+        return [{k: 1} for k in keys]
+    steps = [(_shift(arity, i), (1 << _shift(arity, i)) + 1, images[i - 1])
+             for i in sorted(range(1, arity + 1),
+                             key=lambda i: sum(map(bool, images[i - 1])))]
+    layer = {0: {0: 1}}
+    for d in range(1, sum(exps[0]) + 1):
+        prev, layer = layer, {}
+        for m in monomials(arity, d):
+            k = _pack(arity, m)
+            unit, img = next((unit, img) for s, unit, img in steps
+                             if k >> s & _MASK)
+            layer[k] = _times_form(prev[k - unit], img)
+    return [layer[k] for k in keys]
+
+
+def _term_images(pre, targets):
+    """The images of x_1, .., x_n under a term: pre, then x_j ->
+    x_targets[j-1]."""
+    out = []
+    for img in pre:
+        v = [img[0]] + [0] * len(targets)
+        for c, t in zip(img[1:], targets):
+            if t:
+                v[t] += c
+        out.append(tuple(v))
+    return out
+
+
+def condition_rows(arity, exps, conditions, den):
+    """Integer rows whose right kernel is the set of vectors c with
+    sum c_e x^e / den sent to zero by every condition; the exponent
+    tuples exps share one degree and den maps forms to powers.
+
+    A condition is a list of terms (weight, pre, targets); a term sends f
+    to weight * (f o pre) relabelled x_j -> x_targets[j-1] (target 0 sends
+    x_j to 0), pre being a tuple of integer affine images, and the
+    condition sends f to the sum of its terms.  A term sends x^e / D to
+    weight / s * relabel(pre(x^e)) / D_t, where D_t is the image of D as
+    canonical forms and s its scalar (_den_image).  With C the lcm of the
+    D_t of a condition and L the lcm of the denominators of the
+    weight / s, column e of the condition's rows holds the integer
+    coefficients of
+      N_e = sum over terms of L * weight / s * relabel(pre(x^e)) * C / D_t
+          = L * C * r_e,
+    where r_e is the condition's value on x^e / D.  L * C is nonzero, so
+    sum c_e r_e = 0 exactly when sum c_e N_e = 0.  The images pre(x^e)
+    are built once per distinct pre, one form product per monomial; a
+    row repeated within or across conditions is kept once.
+    """
+    images = {}
+    degree = sum(exps[0]) if exps else 0
+    rows = {}
+    for condition in conditions:
+        terms = []
+        for weight, pre, targets in condition:
+            if pre not in images:
+                images[pre] = _monomial_images(pre, exps)
+            scalar, forms = _den_image(den, _term_images(pre, targets), arity)
+            terms.append((QQ(weight) / scalar, forms, images[pre],
+                          _relabelling(arity, targets, arity)))
+        common = _common_den(forms for _, forms, _, _ in terms)
+        scale = lcm(*(weight.denominator for weight, _, _, _ in terms))
+        parts = []
+        for weight, forms, image, moves in terms:
+            # C / D_t, the forms of C that the term's image of D lacks
+            cofactor = _over({0: 1}, forms, common)
+            _check_degree(cofactor, degree)
+            parts.append(((weight * scale).numerator,
+                          cofactor if cofactor != {0: 1} else None,
+                          image, moves))
+        columns = []
+        for j in range(len(exps)):
+            total = {}
+            for weight, cofactor, image, moves in parts:
+                ints = _relabel(image[j], moves)
+                if cofactor:
+                    ints = _product(ints, cofactor)
+                _accumulate(total, ints, weight)
+            columns.append(total)
+        # the linearized families repeat many rows, within a condition
+        # and across conditions
+        rows.update(dict.fromkeys(map(tuple, _rows(columns,
+                                                   [1] * len(columns)))))
+    return list(rows)
 
 
 # ---------------------------------------------------------------------------

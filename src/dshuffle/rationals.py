@@ -15,17 +15,8 @@ ONE = QQ(1)
 _P = (1 << 61) - 1
 
 
-def rat(p, q=1):
-    return QQ(p, q)
-
-
-def as_int_pair(c):
-    """(numerator, denominator) as plain ints, for serialization."""
-    return int(c.numerator), int(c.denominator)
-
-
 def rat_str(c):
-    p, q = as_int_pair(c)
+    p, q = c.numerator, c.denominator
     return str(p) if q == 1 else "%d/%d" % (p, q)
 
 

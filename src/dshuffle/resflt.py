@@ -53,9 +53,10 @@ def R(f):
 
 
 def iterated_R(f, m):
-    """Apply R m times (the empty iterate is the identity)."""
+    """Apply R m times (the empty iterate is the identity).  After
+    f.arity + 1 passes the value is zero(0), which R fixes."""
     out = f
-    for _ in range(m):
+    for _ in range(min(m, f.arity + 1)):
         out = R(out)
     return out
 

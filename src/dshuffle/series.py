@@ -13,13 +13,19 @@ silently wrong high-depth component is ever produced.
 
 from __future__ import annotations
 
-from .rationals import QQ, ZERO, ONE, rat, rat_from_str, rat_str
+import re
+
+from .rationals import QQ, ZERO, ONE, rat_from_str, rat_str
 from .ratfun import (ArityMismatch, ParseError, RationalFunction,
                      diff_vector, rf_sum_a, var_vector)
 
 
 class TranslationError(ValueError):
     pass
+
+
+# the JSON text of a rational: p or p/q with q nonzero
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
 
 
 class DepthSeries:
@@ -41,7 +47,7 @@ class DepthSeries:
         self.components = comps
         self.max_depth = max_depth
         self.weight = weight
-        self.const = rat(const)
+        self.const = QQ(const)
         self.complete = complete
         if weight is not None:
             for d, f in comps.items():
@@ -104,7 +110,7 @@ class DepthSeries:
         return self.scale(-1)
 
     def scale(self, c):
-        c = rat(c)
+        c = QQ(c)
         return DepthSeries({d: f.scale(c) for d, f in self.components.items()},
                            self.max_depth, weight=self.weight,
                            const=self.const * c, complete=self.complete)
@@ -145,9 +151,23 @@ class DepthSeries:
                 raise ParseError("component key %r is not a positive depth"
                                  % (d,))
             comps[int(d)] = RationalFunction.from_json_dict(f)
-        return cls(comps, data["max_depth"], weight=data.get("weight"),
-                   const=rat_from_str(data.get("const", "0")),
-                   complete=data.get("complete") is True)
+        max_depth = data["max_depth"]
+        if not (type(max_depth) is int and max_depth >= 0):
+            raise ParseError("max_depth %r is not a non-negative integer"
+                             % (max_depth,))
+        weight = data.get("weight")
+        if not (weight is None or type(weight) is int):
+            raise ParseError("weight %r is not an integer" % (weight,))
+        const = data.get("const", "0")
+        if not (type(const) is str and _RATIONAL.fullmatch(const)):
+            raise ParseError("const %r is not p or p/q with q nonzero"
+                             % (const,))
+        complete = data.get("complete", False)
+        if type(complete) is not bool:
+            raise ParseError("complete %r is not true or false"
+                             % (complete,))
+        return cls(comps, max_depth, weight=weight,
+                   const=rat_from_str(const), complete=complete)
 
 
 def _binary_max_depth(f, g):

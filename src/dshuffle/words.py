@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .rationals import QQ, ZERO, rat, rat_str
+from .rationals import QQ, ZERO, rat_str
 
 
 class OverlappingIndices(ValueError):
@@ -144,7 +144,7 @@ def stuffle_count(m, n):
 
 
 def scale_sum(terms, c):
-    c = rat(c)
+    c = QQ(c)
     return {w: c * v for w, v in terms.items()} if c != 0 else {}
 
 

@@ -156,6 +156,37 @@ class TestBracketRes:
         assert_usage_error(code, out, err)
         assert repr(key) in err and "int()" not in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("const", "1/0"), ("const", "2/00"), ("const", "1.5"),
+        ("const", " 1"), ("const", "x"), ("const", 3), ("weight", 3.5),
+        ("weight", True), ("weight", "3"), ("max_depth", -1),
+        ("max_depth", 1.0), ("max_depth", False), ("complete", "yes"),
+        ("complete", 1)])
+    def test_res_bad_scalar_field(self, capsys, tmp_path, field, value):
+        data = {"max_depth": 1, "weight": 3, "components": {
+            "1": {"arity": 1, "num": [[1, 1, [2]]], "den": []}}}
+        data[field] = value
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(data))
+        code, out, err = invoke(capsys, "res", "--element", str(path),
+                                "--depth", "1")
+        assert_usage_error(code, out, err)
+        assert field in err and repr(value) in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_res_iterate_past_the_arity(self, capsys, tmp_path, fmt):
+        # after arity + 1 passes the value is zero(0), which R fixes
+        path = tmp_path / "element.json"
+        path.write_text(json.dumps(psi_odd(3, 3).to_json_dict()))
+        outs = []
+        for m in ("4", str(10 ** 9)):
+            code, out, _ = invoke(capsys, "--format", fmt, "res",
+                                  "--element", str(path), "--depth", "3",
+                                  "--iterate", m)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
 
 def assert_usage_error(code, out, err):
     """Exit 2, nothing on stdout, one error line on stderr."""

@@ -6,8 +6,8 @@ import sympy
 from dshuffle import linalg, modforms, ratfun
 from dshuffle.rationals import QQ
 from dshuffle.ratfun import (Polynomial, RationalFunction, coefficient_rows,
-                             var_vector)
-from dshuffle.modforms import (_MINUS_U, _SWAP, _U, _U2, _monomials,
+                             monomials, var_vector)
+from dshuffle.modforms import (_MINUS_U, _SWAP, _U, _U2,
                                bracket_kernel_ls2, c2_space,
                                dimension_series, exceptional_e,
                                lie3_dimensions, lin_ds_nullspace,
@@ -379,8 +379,8 @@ class TestRowOracle:
         monkeypatch.setattr(ratfun, "rf_sum_a",
                             spy("rf_sum_a", ratfun.rf_sum_a))
         monkeypatch.setattr(ratfun, "_horner", spy("_horner", ratfun._horner))
-        monkeypatch.setattr(modforms, "_times_form",
-                            spy("_times_form", modforms._times_form))
+        monkeypatch.setattr(ratfun, "_times_form",
+                            spy("_times_form", ratfun._times_form))
         assert len(lin_ds_nullspace(3, 11)) == 1
         assert len(lin_ds_nullspace(3, 7, allow_poles=True)) == 3
         assert len(period_space(12, "even")) == 1
@@ -390,10 +390,10 @@ class TestRowOracle:
         # one form product per monomial of each degree, for each map
         # other than the identity (P in depth 3, U and U2 (twice) in two
         # variables), and a few per term for the cofactors
-        bound = 100 + (sum(len(_monomials(3, d)) for d in range(1, 9))
-                 + sum(len(_monomials(3, d)) for d in range(1, 9))
-                 + 2 * sum(len(_monomials(2, d)) for d in range(1, 11))
-                 + 2 * sum(len(_monomials(2, d)) for d in range(1, 8)))
+        bound = 100 + (sum(len(monomials(3, d)) for d in range(1, 9))
+                 + sum(len(monomials(3, d)) for d in range(1, 9))
+                 + 2 * sum(len(monomials(2, d)) for d in range(1, 11))
+                 + 2 * sum(len(monomials(2, d)) for d in range(1, 8)))
         assert calls.count("_times_form") <= bound
 
 
@@ -419,3 +419,29 @@ class TestDimensionPins:
         e = exceptional_e(period_space(16, "even")[0])
         kernel = linalg.nullspace(coefficient_rows(ls4_16 + [e]), 4)
         assert len(kernel) == 1 and kernel[0][3] != 0
+
+
+@pytest.mark.slow
+class TestSlowDimensionPins:
+    """The Broadhurst-Kreimer predictions beyond tier-1 (about two
+    minutes on two cores): ls3 to w = 31, ls4 to w = 22, ls5 at w = 15,
+    and e_18 inside ls4.  Run with pytest -m slow."""
+
+    @pytest.fixture(scope="class")
+    def ls4_18(self):
+        return lin_ds_nullspace(4, 18)
+
+    @pytest.mark.parametrize("depth, weight, dim", [
+        (3, 23, 8), (3, 25, 10), (3, 27, 11), (3, 29, 14), (3, 31, 16),
+        (4, 20, 7), (4, 22, 11), (5, 15, 1)])
+    def test_predicted_dimension(self, depth, weight, dim):
+        assert ls_dimension(depth, weight) == dim
+
+    def test_ls4_weight18(self, ls4_18):
+        assert len(ls4_18) == 5
+
+    def test_e18_in_ls4_weight18(self, ls4_18):
+        # the rank of the basis plus e_18 stays 5
+        e = exceptional_e(period_space(18, "even")[0])
+        kernel = linalg.nullspace(coefficient_rows(ls4_18 + [e]), 6)
+        assert len(kernel) == 1 and kernel[0][5] != 0

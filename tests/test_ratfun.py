@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import re
 from math import gcd
 
@@ -5,6 +7,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
+import dshuffle
 from dshuffle.rationals import QQ
 from dshuffle.ratfun import (_MASK, ArityMismatch, ExponentOverflow,
                              ParseError, PoleOrderError, Polynomial,
@@ -1098,3 +1101,17 @@ class TestSympyOracles:
                 {u: img[0] + sum(c * x for c, x in zip(img[1:], xs))
                  for u, img in zip(us, images)}, simultaneous=True)
         assert_cancel_agrees(g, expr)
+
+
+class TestBoundary:
+    @pytest.mark.parametrize("path", sorted(
+        p for p in pathlib.Path(dshuffle.__file__).parent.glob("*.py")
+        if p.name != "ratfun.py"), ids=lambda p: p.name)
+    def test_no_private_ratfun_import(self, path):
+        # packed monomial keys and their kernels stay inside ratfun
+        private = [alias.name
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module in ("ratfun", "dshuffle.ratfun")
+                   for alias in node.names if alias.name.startswith("_")]
+        assert private == []
