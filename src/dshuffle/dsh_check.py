@@ -50,14 +50,14 @@ class EquationReport:
             self.family, self.indices, "pass" if self.passed else "FAIL")
 
 
-def _prefix_images(n):
+def prefix_images(n):
     """The images of P: x_i -> x_1 + .. + x_i in n variables."""
     return tuple((0,) + (1,) * i + (0,) * (n - i) for i in range(1, n + 1))
 
 
 def _prefix_sums(f):
     """f o P, with P: x_i -> x_1 + .. + x_i."""
-    return f.substitute_affine(_prefix_images(f.arity), f.arity)
+    return f.substitute_affine(prefix_images(f.arity), f.arity)
 
 
 def perm_eval(f, word, target_arity=None):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from math import gcd, isqrt, lcm
 
-from .rationals import ONE, QQ, ZERO, _P
+from .rationals import ONE, PRIME, QQ, ZERO
 
 # Miller-Rabin with these bases is deterministic below 3.3 * 10**24
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -45,8 +45,8 @@ def _is_prime(n):
 
 
 def _primes():
-    """_P, then the primes below it in descending order."""
-    q = _P
+    """PRIME, then the primes below it in descending order."""
+    q = PRIME
     while q > 2:
         if _is_prime(q):
             yield q

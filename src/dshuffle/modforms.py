@@ -23,7 +23,7 @@ from .ratfun import (Polynomial, RationalFunction, coefficient_rows,
                      condition_rows, diff_vector, linear_form, monomials,
                      rf_sum_a, var_vector)
 from . import linalg
-from .dsh_check import _prefix_images
+from .dsh_check import prefix_images
 from .gens import c_n
 from .words import shuffle
 
@@ -210,7 +210,7 @@ def _linearized(p, q, sharp):
     prefix sums along w when sharp, summed over the shuffles w of (1..p)
     and (p+1..p+q) (dsh_check.check_linearized)."""
     n = p + q
-    pre = (_prefix_images(n) if sharp
+    pre = (prefix_images(n) if sharp
            else tuple(var_vector(n, i) for i in range(1, n + 1)))
     return [(c, pre, w) for w, c in
             shuffle(range(1, p + 1), range(p + 1, n + 1)).items()]

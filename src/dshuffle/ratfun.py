@@ -91,21 +91,17 @@ Kernels:
     primitive form is integral (Gauss's lemma), so with a pivot
     coefficient other than 1 each layer is divided by divmod, and a
     nonzero remainder proves that the form does not divide.
-  * Divisibility by a form is pretested by evaluating the integer terms
-    modulo the prime p = 2^61 - 1 at a fixed point of the form's
-    hyperplane.  If the form divides the numerator, the value is zero
-    mod p, so a nonzero residue proves non-divisibility; zero, or a pivot
-    coefficient that p divides, falls through to the exact division.  The
-    integer terms have no denominator for p to divide.  The pretest only
-    decides whether an exact division is attempted, never its outcome, so
-    it cannot change a result.
-  * After a successful division the quotient's pretest is derived from
-    the dividend's instead of reducing the quotient's terms again: the
-    dividend's integer terms are the form times the quotient's, so each
-    cached layer is divided by the form restricted to the layer's line
-    (synthetic division by a + b*t mod p), and a layer computed later
-    gets the same divisions.  A restriction that loses its degree mod p
-    falls back to the quotient's own terms.
+  * Divisibility by a form is pretested modulo the prime p = 2^61 - 1
+    on the line through a fixed point along the form's pivot variable.
+    There the integer terms (no denominator for p to divide) collapse to
+    a polynomial in the pivot and the form to a linear factor, and the
+    multiplicity of its root bounds how often the form divides; a pivot
+    coefficient that p divides gives no bound.  The bound is read once
+    per numerator and form, and each attempted division spends one unit
+    of it.  Distinct canonical forms are coprime, so the numerator and
+    every quotient it is divided into share one pretest.  The pretest
+    only decides whether an exact division is attempted, never its
+    outcome, so it cannot change a result.
   * Normalization tries only the forms that can divide, by two structural
     certificates.  They rely on every stored value being normalized, so
     no trusted constructor may skip a division that could succeed.
@@ -124,9 +120,10 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Mapping
+from itertools import accumulate
 from math import factorial, gcd, lcm
 
-from .rationals import QQ, ZERO, ONE, _P, rat_str, rat_from_str
+from .rationals import QQ, ZERO, ONE, PRIME, rat_str, rat_from_str
 
 
 class ArityMismatch(ValueError):
@@ -145,7 +142,7 @@ _MASK = (1 << _W) - 1
 
 
 # the step of the divisibility pretest's fixed evaluation point
-# x_i = i * _STEP mod _P, which is nonzero
+# x_i = i * _STEP mod PRIME, which is nonzero
 _STEP = 0x9E3779B97F4A7C15
 
 
@@ -386,8 +383,10 @@ class Polynomial:
 
         The form must be canonical (see form_normalize); in particular it
         is primitive and its pivot coefficient is a positive integer.
-        tester, a _DivisibilityTester of this polynomial, lets callers
-        share one pretest across forms.
+        tester, a _DivisibilityTester, lets callers share one pretest
+        across forms and divisions: it may belong to this polynomial, or
+        to a multiple of it by forms that it has since been divided by
+        through the same tester.
         """
         if not self.ints:
             return self
@@ -1201,29 +1200,34 @@ class RationalFunction:
 
 
 class _DivisibilityTester:
-    """Modular divisibility pretest, shared by the forms tested on one
-    numerator.
+    """Modular divisibility pretest of one numerator N, shared by the
+    forms tested on N and on the quotients N is divided into.
 
-    The integer numerator is reduced mod p and the variables set to a
-    fixed point mod p.  For a pivot variable v, the numerator then
-    collapses to a one-variable polynomial sum(S_e t^e) in t = x_v, its
-    layer; testing a form with pivot v is one Horner evaluation at the t
-    of the form's hyperplane.  A nonzero value certifies non-divisibility.
-    The reduction waits for the first form tested.
+    The integer terms of N are reduced mod p and the variables set to a
+    fixed point mod p.  For a pivot variable v, N then collapses to a
+    one-variable polynomial sum(S_e t^e) in t = x_v, its layer, and a
+    form with pivot v to a + b*t.  If f^k divides N, then (a + b*t)^k
+    divides the layer mod p, so the multiplicity of the root -a/b in the
+    layer bounds k; a layer that vanishes mod p has the degree of N in
+    x_v, its length - 1, as the bound.  With b = 0 mod p there is no
+    bound.  The reduction waits for the first form tested.
 
-    The tester of an exact quotient is derived from its dividend's (see
-    quotient): then values holds the term values of an earlier numerator
-    and divisors the forms that numerator has since been divided by.
+    A form's bound is read once, the first time it is asked about, and
+    may_divide spends one unit of it each time it answers True.  Distinct
+    canonical forms are coprime, so the bound less the j units spent
+    still bounds the multiplicity in N / f^j, whatever other forms N has
+    since been divided by, as long as each True answer is followed by
+    the division of the current numerator by the form.
     """
 
-    __slots__ = ("poly", "point", "values", "divisors", "layers")
+    __slots__ = ("poly", "point", "values", "layers", "budgets")
 
     def __init__(self, poly):
         self.poly = poly
-        self.point = [(i + 1) * _STEP % _P for i in range(poly.arity)]
+        self.point = [(i + 1) * _STEP % PRIME for i in range(poly.arity)]
         self.values = None
-        self.divisors = ()
         self.layers = {}
+        self.budgets = {}
 
     def _term_values(self):
         """(monomial, its term's value mod p at the point) for each term."""
@@ -1234,126 +1238,86 @@ class _DivisibilityTester:
         for x, s in zip(self.point, _shifts(self.poly.arity)):
             row = [1]
             for _ in range(top):
-                row.append(row[-1] * x % _P)
+                row.append(row[-1] * x % PRIME)
             powers.append((s, row))
         values = []
         for k, val in ints.items():
             for s, row in powers:
                 e = k >> s & _MASK
                 if e:
-                    val = val * row[e] % _P
+                    val = val * row[e] % PRIME
             values.append((k, val))
         return values
 
-    def _collapse(self, v):
-        """The layer [S_0, S_1, ..] mod p of self.values for the pivot x_v."""
+    def _layer(self, v):
+        """The layer [S_0, S_1, ..] mod p of the numerator for the pivot
+        x_v."""
+        layer = self.layers.get(v)
+        if layer is not None:
+            return layer
+        if self.values is None:
+            self.values = self._term_values()
         # divide the power of x_v back out of each term's value
-        x_inv = pow(self.point[v - 1], -1, _P)
+        x_inv = pow(self.point[v - 1], -1, PRIME)
         s = _shift(self.poly.arity, v)
         inv_powers = [1]
         layer = [0]
         for k, val in self.values:
             e = k >> s & _MASK
             while e >= len(layer):
-                inv_powers.append(inv_powers[-1] * x_inv % _P)
+                inv_powers.append(inv_powers[-1] * x_inv % PRIME)
                 layer.append(0)
             layer[e] += val * inv_powers[e]
-        return [s % _P for s in layer]
-
-    def _layer(self, v):
-        """The layer of the numerator for the pivot x_v."""
-        layer = self.layers.get(v)
-        if layer is not None:
-            return layer
-        if self.values is None:
-            self.values = self._term_values()
-        layer = self._collapse(v)
-        for form in self.divisors:
-            layer = _divide_layer(layer, *self._restriction(form, v))
-            if layer is None:
-                # a divisor degenerates mod p on this line: start again
-                # from the numerator's own terms
-                self.values, self.divisors = self._term_values(), ()
-                layer = self._collapse(v)
-                break
-        self.layers[v] = layer
+        layer = self.layers[v] = [c % PRIME for c in layer]
         return layer
 
-    def _restriction(self, form, v):
-        """(a, b) with form = a + b*t on the line of the pivot x_v."""
-        a = form[0]
-        for i in range(1, len(form)):
-            if i != v and form[i]:
-                a += form[i] * self.point[i - 1]
-        return a, form[v]
+    def _budget(self, form):
+        """A bound on the multiplicity of the form in the numerator, or
+        None when the form's pivot coefficient vanishes mod p."""
+        v = _form_pivot(form)
+        b = form[v]
+        if not b % PRIME:
+            return None
+        # the form is b*(t - root) on the line of x_v through the point
+        value = form[0] + sum(c * x for c, x in zip(form[1:], self.point))
+        root = (self.point[v - 1] - value * pow(b, -1, PRIME)) % PRIME
+        layer = self._layer(v)
+        k = 0
+        while len(layer) > 1:
+            # synthetic division by t - root: Horner's partial sums are
+            # the quotient's coefficients, from the top, and the remainder
+            sums = list(accumulate(reversed(layer),
+                                   lambda r, c: (r * root + c) % PRIME))
+            if sums[-1]:
+                break
+            layer = sums[-2::-1]
+            k += 1
+        return k
 
     def may_divide(self, form):
-        """False only if the form certainly does not divide."""
-        v = _form_pivot(form)
-        a, b = self._restriction(form, v)
-        if not b % _P:
-            return True
-        layer = self._layer(v)
-        t = -a * pow(b, -1, _P) % _P
-        total = 0
-        for s in reversed(layer):
-            total = (total * t + s) % _P
-        return total == 0
-
-    def quotient(self, q, form):
-        """The tester of q = poly / form, an exact quotient.
-
-        poly's integer terms are form times q's (Gauss's lemma), so each
-        layer of q is poly's layer divided by the form restricted to the
-        layer's line; layers computed later get the same divisions.
-        """
-        if self.values is None:
-            return _DivisibilityTester(q)
-        out = _DivisibilityTester.__new__(_DivisibilityTester)
-        out.poly = q
-        out.point = self.point
-        out.values = self.values
-        out.divisors = self.divisors + (form,)
-        out.layers = {}
-        for v, layer in self.layers.items():
-            layer = _divide_layer(layer, *self._restriction(form, v))
-            if layer is None:
-                return _DivisibilityTester(q)
-            out.layers[v] = layer
-        return out
-
-
-def _divide_layer(layer, a, b):
-    """The exact quotient layer / (a + b*t) mod p; None when a + b*t does
-    not keep its degree mod p."""
-    if not b:
-        if not a % _P:
-            return None
-        inv = pow(a, -1, _P)
-        return [s * inv % _P for s in layer]
-    if not b % _P:
-        return None
-    # synthetic division: S_e = a*Q_e + b*Q_(e-1), from the top down
-    inv = pow(b, -1, _P)
-    out = [0] * (len(layer) - 1)
-    q = 0
-    for e in range(len(layer) - 1, 0, -1):
-        q = (layer[e] - a * q) * inv % _P
-        out[e - 1] = q
-    return out
+        """False only if the form certainly does not divide; a True
+        answer spends one unit of the form's budget."""
+        if form not in self.budgets:
+            self.budgets[form] = self._budget(form)
+        budget = self.budgets[form]
+        if budget == 0:
+            return False
+        if budget is not None:
+            self.budgets[form] = budget - 1
+        return True
 
 
 def _cancel(num, counts, forms=None):
     """Divide the nonzero num by each form of counts (or only by those of
     forms) while the form divides it, lowering counts in place; returns
-    the quotient."""
+    the quotient.  One pretest serves every division."""
     tester = _DivisibilityTester(num)
     for f in sorted(counts if forms is None else forms):
         while counts[f] > 0:
             q = num.divide_form(f, tester)
             if q is None:
                 break
-            num, tester = q, tester.quotient(q, f)
+            num = q
             counts[f] -= 1
     return num
 
@@ -1652,7 +1616,7 @@ class _Parser:
             ctok, cpos = self.next()
             try:
                 coeff = rat_from_str(ctok) * sign
-            except ValueError:
+            except (ValueError, ZeroDivisionError):
                 raise ParseError("bad coefficient %r" % ctok, cpos)
             exps = {}
             if self.peek() == "*":

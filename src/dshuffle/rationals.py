@@ -12,7 +12,7 @@ ZERO = QQ(0)
 ONE = QQ(1)
 
 # the word-size prime of all modular arithmetic (a Mersenne prime)
-_P = (1 << 61) - 1
+PRIME = (1 << 61) - 1
 
 
 def rat_str(c):

@@ -145,16 +145,19 @@ class DepthSeries:
 
     @classmethod
     def from_json_dict(cls, data):
+        max_depth = data["max_depth"]
+        if not (type(max_depth) is int and max_depth >= 0):
+            raise ParseError("max_depth %r is not a non-negative integer"
+                             % (max_depth,))
         comps = {}
         for d, f in data["components"].items():
             if not (d.isascii() and d.isdigit() and int(d) > 0):
                 raise ParseError("component key %r is not a positive depth"
                                  % (d,))
+            if int(d) > max_depth:
+                raise ParseError("component key %r is beyond max_depth %d"
+                                 % (d, max_depth))
             comps[int(d)] = RationalFunction.from_json_dict(f)
-        max_depth = data["max_depth"]
-        if not (type(max_depth) is int and max_depth >= 0):
-            raise ParseError("max_depth %r is not a non-negative integer"
-                             % (max_depth,))
         weight = data.get("weight")
         if not (weight is None or type(weight) is int):
             raise ParseError("weight %r is not an integer" % (weight,))

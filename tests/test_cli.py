@@ -156,6 +156,17 @@ class TestBracketRes:
         assert_usage_error(code, out, err)
         assert repr(key) in err and "int()" not in err
 
+    def test_res_component_beyond_max_depth(self, capsys, tmp_path):
+        # a component past the truncation order is not dropped silently
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"max_depth": 1, "components": {
+            "1": {"arity": 1, "num": [[1, 1, [0]]], "den": []},
+            "2": {"arity": 2, "num": [[1, 1, [0, 0]]], "den": []}}}))
+        code, out, err = invoke(capsys, "res", "--element", str(path),
+                                "--depth", "1")
+        assert_usage_error(code, out, err)
+        assert "'2'" in err and "max_depth" in err
+
     @pytest.mark.parametrize("field, value", [
         ("const", "1/0"), ("const", "2/00"), ("const", "1.5"),
         ("const", " 1"), ("const", "x"), ("const", 3), ("weight", 3.5),

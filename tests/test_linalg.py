@@ -4,7 +4,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from dshuffle.linalg import _primes, nullspace, rref, solve_affine
-from dshuffle.rationals import QQ, _P
+from dshuffle.rationals import PRIME, QQ
 
 small_int = st.integers(-12, 12)
 tall_int = st.integers(-2 ** 80, 2 ** 80)
@@ -65,19 +65,20 @@ class TestRref:
 
     def test_unlucky_prime(self):
         # over Q the pivot is column 0; modulo 2^61 - 1 it is column 2
-        m = [[_P, 0, 1]]
+        m = [[PRIME, 0, 1]]
         _assert_rref(m)
         assert rref(m)[1] == [0]
 
     def test_denominator_divisible_by_the_prime(self):
         # [[1/p, 1, 2], [3, 1/(2p), -1], [3/p, 3, 6]] with each row
         # cleared of its denominators, so p divides most entries
-        m = [[1, _P, 2 * _P], [6 * _P, 1, -2 * _P], [3, 3 * _P, 6 * _P]]
+        p = PRIME
+        m = [[1, p, 2 * p], [6 * p, 1, -2 * p], [3, 3 * p, 6 * p]]
         _assert_rref(m)
 
     def test_prime_sequence_matches_sympy(self):
         primes = _primes()
-        expected = [_P]
+        expected = [PRIME]
         for _ in range(4):
             expected.append(sympy.prevprime(expected[-1]))
         assert [next(primes) for _ in expected] == expected

@@ -14,6 +14,7 @@ from dshuffle.modforms import (_MINUS_U, _SWAP, _U, _U2,
                                ls_dimension, p_even_generator, period_space,
                                pi2)
 from dshuffle.dsh_check import all_pass, is_in_pls
+from dshuffle.series import ihara_bracket_component
 
 from conftest import mono
 
@@ -119,6 +120,14 @@ class TestExceptional:
         assert not e.is_zero()
         assert all_pass(is_in_pls(e))
 
+    def test_bracket_with_x1_squared_in_pls5(self):
+        # [x1^2, e_12] is a nonzero polynomial of depth 5 and degree 10
+        b = ihara_bracket_component(
+            mono(2), exceptional_e(period_space(12, "even")[0]))
+        assert b.is_polynomial() and not b.is_zero()
+        assert b.arity == 5 and b.degree() == 10
+        assert all_pass(is_in_pls(b))
+
     def test_rejects_nonvanishing_input(self):
         with pytest.raises(ValueError):
             exceptional_e(p_even_generator(12))
@@ -207,7 +216,6 @@ class TestC2:
     def test_residue_of_h_is_pi2(self):
         # the depth-3 highest weight vectors project onto the cyclic space
         from dshuffle.resflt import R, highest_weight_h
-        from dshuffle.series import ihara_bracket_component
         for (a, b) in ((1, 2), (2, 3)):
             lhs = R(ihara_bracket_component(
                 mono(2 * a),
@@ -423,17 +431,22 @@ class TestDimensionPins:
 
 @pytest.mark.slow
 class TestSlowDimensionPins:
-    """The Broadhurst-Kreimer predictions beyond tier-1 (about two
-    minutes on two cores): ls3 to w = 31, ls4 to w = 22, ls5 at w = 15,
-    and e_18 inside ls4.  Run with pytest -m slow."""
+    """The Broadhurst-Kreimer predictions beyond tier-1 (about 75 s on
+    two cores): ls3 to w = 31, ls4 to w = 22, ls5 at w = 15,
+    e_18 inside ls4 and [x1^2, e_12] spanning ls5 at w = 15.  Run with
+    pytest -m slow."""
 
     @pytest.fixture(scope="class")
     def ls4_18(self):
         return lin_ds_nullspace(4, 18)
 
+    @pytest.fixture(scope="class")
+    def ls5_15(self):
+        return lin_ds_nullspace(5, 15)
+
     @pytest.mark.parametrize("depth, weight, dim", [
         (3, 23, 8), (3, 25, 10), (3, 27, 11), (3, 29, 14), (3, 31, 16),
-        (4, 20, 7), (4, 22, 11), (5, 15, 1)])
+        (4, 20, 7), (4, 22, 11)])
     def test_predicted_dimension(self, depth, weight, dim):
         assert ls_dimension(depth, weight) == dim
 
@@ -445,3 +458,14 @@ class TestSlowDimensionPins:
         e = exceptional_e(period_space(18, "even")[0])
         kernel = linalg.nullspace(coefficient_rows(ls4_18 + [e]), 6)
         assert len(kernel) == 1 and kernel[0][5] != 0
+
+    def test_ls5_weight15(self, ls5_15):
+        assert len(ls5_15) == 1
+
+    def test_bracket_spans_ls5_weight15(self, ls5_15):
+        # the rank of the one basis vector plus [x1^2, e_12] stays 1, and
+        # both enter the kernel vector
+        b = ihara_bracket_component(
+            mono(2), exceptional_e(period_space(12, "even")[0]))
+        kernel = linalg.nullspace(coefficient_rows(ls5_15 + [b]), 2)
+        assert len(kernel) == 1 and all(kernel[0])

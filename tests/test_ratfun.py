@@ -11,9 +11,9 @@ import dshuffle
 from dshuffle.rationals import QQ
 from dshuffle.ratfun import (_MASK, ArityMismatch, ExponentOverflow,
                              ParseError, PoleOrderError, Polynomial,
-                             RationalFunction, _DivisibilityTester, _split,
-                             coefficient_rows, form_normalize, linear_form,
-                             parse, rf_sum_a, var_vector)
+                             RationalFunction, _DivisibilityTester, _cancel,
+                             _split, coefficient_rows, form_normalize,
+                             linear_form, parse, rf_sum_a, var_vector)
 from dshuffle.gens import psi_zero_component, s_d
 from dshuffle.series import ihara_action_component
 
@@ -283,6 +283,16 @@ class TestKernelOracles:
         assert not _DivisibilityTester(num).may_divide((1, 1))
         assert num.divide_form((1, 1)) is None
 
+    def test_pretest_has_no_bound_when_p_divides_the_pivot(self):
+        # p*x2 - x1 is -x1 mod p, with no root on the line of x2
+        p = (1 << 61) - 1
+        form = (0, -1, p)
+        q = rf("x1^2 + x2 + 1", 2).num
+        num = q.mul_form(form).mul_form(form)
+        tester = _DivisibilityTester(num)
+        assert all(tester.may_divide(form) for _ in range(3))
+        assert num.divide_form(form).divide_form(form) == q
+
     def test_division_rejects_an_odd_layer_of_a_non_monic_pivot(self):
         # (p + 2)*x2 - x1 is 2*x2 - x1 mod p, so the pretest passes; the
         # exact division stops at its top layer, p + 2, which the pivot
@@ -511,45 +521,76 @@ class TestCancellation:
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_quotient_tester_matches_a_fresh_one(self, data):
+    def test_budget_spans_every_division(self, data):
         arity = data.draw(st.integers(1, 3))
         q = data.draw(polynomials(arity))
         assume(q)
-        coeffs = [data.draw(small_rat) for _ in range(arity + 1)]
-        assume(any(coeffs[1:]))
-        _, f = form_normalize(coeffs)
-        tester = _DivisibilityTester(q.mul_form(f).mul_form(f))
-        for v in data.draw(st.sets(st.integers(1, arity))):
-            tester._layer(v)
-        # two divisions by the same form; the second tester keeps some
-        # layers derived twice and computes the others through both
-        # divisions
-        once = tester.poly.divide_form(f, tester)
-        t1 = tester.quotient(once, f)
-        twice = once.divide_form(f, t1)
-        assert twice == q
-        t2 = t1.quotient(twice, f)
-        for t in (t2, t1):
-            fresh = _DivisibilityTester(t.poly)
-            assert all(t._layer(v) == fresh._layer(v)
-                       for v in range(1, arity + 1))
+        forms = []
+        for _ in range(2):
+            coeffs = [data.draw(small_rat) for _ in range(arity + 1)]
+            assume(any(coeffs[1:]))
+            forms.append(form_normalize(coeffs)[1])
+        f, g = forms
+        assume(f != g)
+        k, j = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 2))
+        n = q
+        for h in [f] * k + [g] * j:
+            n = n.mul_form(h)
+        # a fresh tester answers True for the first k units of f and the
+        # first j of g
+        tester = _DivisibilityTester(n)
+        assert all(tester.may_divide(f) for _ in range(k))
+        assert all(tester.may_divide(g) for _ in range(j))
+        # divisions in any order, through one tester, never see a False
+        tester, quotient = _DivisibilityTester(n), n
+        for h in data.draw(st.permutations([f] * k + [g] * j)):
+            quotient = quotient.divide_form(h, tester)
+            assert quotient is not None
+        assert quotient == q
+        counts = {f: k, g: j}
+        assert _cancel(n, counts) == q and counts == {f: 0, g: 0}
+        # one unit more of each form: _cancel stops where sympy does
+        counts = {f: k + 1, g: j + 1}
+        got = RationalFunction(arity, _cancel(n, counts),
+                               {h: c for h, c in counts.items() if c})
 
-    def test_quotient_tester_falls_back_on_a_degenerate_line(self):
-        # x3 - x1 - x2 vanishes at the pretest point x_i = i*step, so on
-        # the line of x4 its restriction is 0 mod p
-        f = (0, -1, -1, 1, 0)
+        def expr(xs):
+            sf, sg = (h[0] + sum(c * x for c, x in zip(h[1:], xs))
+                      for h in (f, g))
+            return _sympy_poly(n, xs) / (sf ** (k + 1) * sg ** (j + 1))
+        assert_cancel_agrees(got, expr)
+
+    def test_zero_layers_at_the_degenerate_point(self):
+        # x3 - x1 - x2 vanishes at the pretest point x_i = i*step, so its
+        # multiples have the zero layer on the line of x4, whose length - 1
+        # bounds the multiplicity: 0 when the numerator lacks x4
+        f, x4_x1 = (0, -1, -1, 1, 0), linear_form(4, 1, 4)
+        r = rf("x1^2 + x2x3 + 2", 4).num
+        n = r.mul_form(f)
+        tester = _DivisibilityTester(n)
+        assert tester._layer(4) == [0]
+        assert not tester.may_divide(x4_x1)
+        counts = {x4_x1: 1, f: 2}
+        assert _cancel(n, counts) == r and counts == {x4_x1: 1, f: 1}
+        n = n.mul_form(x4_x1).mul_form(x4_x1)
+        assert _DivisibilityTester(n)._layer(4) == [0, 0, 0]
+        counts = {x4_x1: 3, f: 2}
+        assert _cancel(n, counts) == r and counts == {x4_x1: 1, f: 1}
+
+    def test_forms_sharing_a_root_on_the_pivot_line(self):
+        # x4 - x3 and x4 - x1 - x2 both restrict to t - 3*step on the line
+        # of x4, so each one's budget counts the other's factor too
+        a, b = linear_form(4, 3, 4), (0, -1, -1, 0, 1)
         q = rf("x4^2 + x1x3 + 2", 4).num
-        n = q.mul_form(f)
-        for cached in ((3, 4), (3,)):
-            tester = _DivisibilityTester(n)
-            for v in cached:
-                tester._layer(v)
-            assert n.divide_form(f, tester) == q
-            derived = tester.quotient(q, f)
-            fresh = _DivisibilityTester(q)
-            assert all(derived._layer(v) == fresh._layer(v)
-                       for v in range(1, 5))
-            assert derived.divisors == ()
+        n = q.mul_form(a)
+        tester = _DivisibilityTester(n)
+        assert tester.may_divide(b)
+        assert n.divide_form(b, tester) is None
+        counts = {a: 2, b: 2}
+        assert _cancel(n, counts) == q and counts == {a: 1, b: 2}
+        both = n.mul_form(b)
+        counts = {a: 2, b: 2}
+        assert _cancel(both, counts) == q and counts == {a: 1, b: 1}
 
 
 def assert_canonical(p):
@@ -864,6 +905,14 @@ class TestSerialization:
         with pytest.raises(ParseError):
             parse("x0")
 
+    @pytest.mark.parametrize("text, where", [
+        ("1/0*x1", "'1/0' (at position 0)"), ("1/0", "'1/0' (at position 0)"),
+        ("x1 + 3/0", "'3/0' (at position 5)")])
+    def test_parse_rejects_a_zero_denominator(self, text, where):
+        with pytest.raises(ParseError, match=re.escape(
+                "bad coefficient " + where)):
+            parse(text)
+
     def test_parse_error_position(self):
         with pytest.raises(ParseError):
             parse("1/(x1*(x2-x1)")  # missing closing paren
@@ -1104,14 +1153,16 @@ class TestSympyOracles:
 
 
 class TestBoundary:
-    @pytest.mark.parametrize("path", sorted(
-        p for p in pathlib.Path(dshuffle.__file__).parent.glob("*.py")
-        if p.name != "ratfun.py"), ids=lambda p: p.name)
+    MODULES = sorted(pathlib.Path(dshuffle.__file__).parent.glob("*.py"))
+
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
     def test_no_private_ratfun_import(self, path):
-        # packed monomial keys and their kernels stay inside ratfun
-        private = [alias.name
+        # no module imports a _ name from another dshuffle module; the
+        # test began with ratfun, whose packed keys stay inside it
+        names = {p.stem for p in self.MODULES}
+        private = [(node.module, alias.name)
                    for node in ast.walk(ast.parse(path.read_text()))
                    if isinstance(node, ast.ImportFrom)
-                   and node.module in ("ratfun", "dshuffle.ratfun")
+                   and (node.module or "").removeprefix("dshuffle.") in names
                    for alias in node.names if alias.name.startswith("_")]
         assert private == []
