@@ -27,7 +27,7 @@ def emit(value, fmt):
         return value.text()
     if isinstance(value, DepthSeries):
         return "\n".join("depth %d: %s" % (d, f.text())
-                         for d, f in sorted(value.components.items()))
+                         for d, f in sorted(value.components.items())) or "0"
     if hasattr(value, "text"):
         return value.text()
     return str(value)

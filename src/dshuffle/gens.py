@@ -16,8 +16,8 @@ from itertools import product
 from .rationals import QQ
 from .ratfun import (Polynomial, RationalFunction, diff_vector, linear_form,
                      rf_sum_a, var_vector)
-from .series import (DepthSeries, ihara_bracket_component, series_stuffle,
-                     tau)
+from .series import (DepthSeries, cyclic_sum, ihara_bracket_component,
+                     series_stuffle, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -419,19 +419,10 @@ def z3():
     member is (x_2-x_1)/x_3.  This normalization makes the plain word sum
     vanish and the sharp word sum equal to 1 in the (1,2) family.
     """
-    parts = []
-    for k in range(4):
-        def y(i):
-            return (i + k) % 4 + 1
-        num = Polynomial.variable(4, y(2)) - Polynomial.variable(4, y(1))
-        a, b = max(y(3), y(0)), min(y(3), y(0))
-        if y(3) < y(0):
-            num = num.scale(-1)
-        parts.append(RationalFunction.from_num_den(
-            num, {linear_form(a, b, 4): 1}))
-    total = rf_sum_a(4, parts)
-    images = [var_vector(3, 0)] + [var_vector(3, i) for i in range(1, 4)]
-    return total.substitute_affine(images, 3).scale(QQ(1, 4))
+    seed = RationalFunction.from_num_den(
+        Polynomial.variable(4, 3) - Polynomial.variable(4, 2),
+        [linear_form(4, 1, 4)])
+    return cyclic_sum(seed).scale(QQ(1, 4))
 
 
 def Q4():
@@ -442,21 +433,10 @@ def Q4():
     orientation is normalized so that the residue at x_3 = 0 equals
     +1/(x_1 x_2 x_4).
     """
-    parts = []
-    for shift in range(5):
-        def y(i):
-            return ((i + shift) % 5) + 1
-        den = []
-        sign = -1
-        for hi, lo in ((y(1), y(0)), (y(3), y(2)), (y(3), y(0)), (y(4), y(0))):
-            den.append(linear_form(max(hi, lo), min(hi, lo), 5))
-            if hi < lo:
-                sign = -sign
-        parts.append(RationalFunction.from_num_den(
-            Polynomial.const(5, sign), den))
-    total = rf_sum_a(5, parts)
-    images = [var_vector(4, 0)] + [var_vector(4, i) for i in range(1, 5)]
-    return total.substitute_affine(images, 4)
+    return cyclic_sum(RationalFunction.from_num_den(
+        Polynomial.const(5, -1),
+        [linear_form(2, 1, 5), linear_form(4, 3, 5), linear_form(4, 1, 5),
+         linear_form(5, 1, 5)]))
 
 
 def c_n(n):

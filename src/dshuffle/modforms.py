@@ -21,10 +21,11 @@ from __future__ import annotations
 from .rationals import QQ
 from .ratfun import (Polynomial, RationalFunction, coefficient_rows,
                      condition_rows, diff_vector, linear_form, monomials,
-                     rf_sum_a, var_vector)
+                     var_vector)
 from . import linalg
 from .dsh_check import prefix_images
 from .gens import c_n
+from .series import cyclic_sum
 from .words import shuffle
 
 
@@ -185,20 +186,14 @@ def exceptional_e(f):
            .divide_form_exact(linear_form(2, 0, 2))
     if not (f0.is_polynomial() and f1.is_polynomial()):
         raise ValueError("input must vanish along x=0, y=0 and x=y")
-    parts = []
-    m = 5
-    for k in range(5):
-        def y(i):
-            return (i + k) % 5 + 1
-        img1 = [diff_vector(m, y(4), y(3)), diff_vector(m, y(2), y(1))]
-        parts.append(f1.substitute_affine(img1, m))
-        img0 = [diff_vector(m, y(2), y(3)), diff_vector(m, y(4), y(3))]
-        lin = RationalFunction.from_poly(
-            Polynomial.variable(m, y(0)) - Polynomial.variable(m, y(1)))
-        parts.append(lin * f0.substitute_affine(img0, m))
-    total = rf_sum_a(m, parts)
-    images = [var_vector(4, 0)] + [var_vector(4, i) for i in range(1, 5)]
-    return total.substitute_affine(images, 4)
+    # f1(y_4-y_3, y_2-y_1) + (y_0-y_1) f0(y_2-y_3, y_4-y_3), y_i in slot i+1
+    lin = RationalFunction.from_poly(
+        Polynomial.variable(5, 1) - Polynomial.variable(5, 2))
+    seed = (f1.substitute_affine([diff_vector(5, 5, 4),
+                                  diff_vector(5, 3, 2)], 5)
+            + lin * f0.substitute_affine([diff_vector(5, 3, 4),
+                                          diff_vector(5, 5, 4)], 5))
+    return cyclic_sum(seed)
 
 
 # ---------------------------------------------------------------------------

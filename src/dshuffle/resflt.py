@@ -12,7 +12,7 @@ from .rationals import QQ
 from .ratfun import (Polynomial, PoleOrderError, RationalFunction,
                      linear_form, rf_sum_a, var_vector)
 from .series import (ihara_action_component, ihara_bracket_component,
-                     stuffle_concat)
+                     reduce_y, rotations, stuffle_concat, unreduce)
 from .dsh_check import EquationReport
 
 
@@ -156,7 +156,7 @@ def sl2_f(f):
     positive multiple)."""
     r = f.arity
     if r <= 1:
-        return RationalFunction.zero(max(r - 1, 0) if r else 0)
+        return RationalFunction.zero(0)
     parts = []
     for i in range(1, r):
         # view f with a fresh variable z in slot r, inserted after slot i:
@@ -175,26 +175,12 @@ def sl2_f_via_rotations(f):
     """Cross-check form of the lowering operator on even-weight inputs
     with the restricted pole shape: rotate the top residue around the
     cyclic labels and weight by the coordinates."""
-    from .series import reduce_y, unreduce
     r = f.arity
     if r <= 1:
-        return RationalFunction.zero(max(r - 1, 0) if r else 0)
-    val = R(f)
-
-    def plain_rotate(g):
-        n = g.arity
-        gy = unreduce(g)
-        images = [var_vector(n + 1, (k % (n + 1)) + 1)
-                  for k in range(1, n + 2)]
-        return reduce_y(gy.substitute_affine(images, n + 1))
-
-    total = RationalFunction.zero(r - 1)
-    cur = val
-    for i in range(1, r):
-        cur = plain_rotate(cur)
-        total = total + cur * RationalFunction.from_poly(
-            Polynomial.variable(r - 1, i))
-    return total
+        return RationalFunction.zero(0)
+    turns = rotations(unreduce(R(f)))
+    return rf_sum_a(r - 1, [reduce_y(turns[i]) * RationalFunction.from_poly(
+        Polynomial.variable(r - 1, i)) for i in range(1, r)])
 
 
 def highest_weight_h(a, b):

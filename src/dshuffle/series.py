@@ -4,7 +4,10 @@ A DepthSeries models an element of the product over d >= 1 of the rings
 O_d, with an optional scalar (depth-zero) part used by the stuffle
 exponentials.  Components are reduced functions of x_1..x_d; the
 y-coordinate picture (translation-invariant functions of y_0..y_r) is
-reached through unreduce/reduce, with y_i stored in variable slot i+1.
+reached through unreduce/reduce_y, with y_i stored in variable slot i+1.
+The cyclic relabellings y_i -> y_(i+k mod m) of such a function are its
+rotations; the sporadic and exceptional elements and the dihedral form of
+the bracket are sums over them (cyclic_sum reduces the sum at y_0 = 0).
 
 Truncation: components are only stored up to max_depth, and binary
 operations propagate the depth range on which the result is exact, so no
@@ -72,8 +75,9 @@ class DepthSeries:
         return cls({}, max_depth, const=ZERO, complete=True)
 
     def component(self, d):
-        if d == 0:
-            raise ValueError("use .const for the scalar part")
+        if d < 1:
+            raise ValueError("use .const for the scalar part" if d == 0
+                             else "depth %d is below 1" % d)
         if d > self.max_depth:
             raise ValueError("depth %d beyond truncation order %d"
                              % (d, self.max_depth))
@@ -217,13 +221,32 @@ def is_translation_invariant(f):
     return f.nabla().is_zero()
 
 
+def _at_y0_zero(f):
+    """f(y_0..y_r) at y_0 = 0, with y_i -> x_i."""
+    r = f.arity - 1
+    return f.substitute_affine([var_vector(r, i) for i in range(r + 1)], r)
+
+
 def reduce_y(f):
     """Translation-invariant f(y_0..y_r) -> reduced f(x_1..x_r)."""
     if not is_translation_invariant(f):
         raise TranslationError("function is not translation invariant")
-    r = f.arity - 1
-    images = [var_vector(r, 0)] + [var_vector(r, i) for i in range(1, r + 1)]
-    return f.substitute_affine(images, r)
+    return _at_y0_zero(f)
+
+
+def rotations(u):
+    """The m cyclic relabellings y_i -> y_(i+k mod m), k = 0..m-1, of a
+    function u of y_0..y_(m-1) (y_i in slot i+1), in order of k."""
+    m = u.arity
+    return [u.substitute_affine([var_vector(m, (i + k) % m + 1)
+                                 for i in range(m)], m)
+            for k in range(m)]
+
+
+def cyclic_sum(u):
+    """The sum of the rotations of u, reduced at y_0 = 0, without the
+    translation-invariance check of reduce_y (it costs many times the sum)."""
+    return _at_y0_zero(rf_sum_a(u.arity, rotations(u)))
 
 
 # ---------------------------------------------------------------------------
@@ -388,22 +411,17 @@ def dihedral_bracket(f, g):
     is oriented to match the commutator f o g - g o f.
     """
     r, s = f.arity, g.arity
-    n = r + s
-    fy = unreduce(f)   # arity r+1, slot k holds y_(k-1)
+    m = r + s + 1
     gy = unreduce(g)
-    parts = []
-    for i in range(0, n + 1):
-        # f(y_i, .., y_(i+r)) in slots mod n+1
-        f_imgs = [var_vector(n + 1, ((i + k) % (n + 1)) + 1)
-                  for k in range(0, r + 1)]
-        g1 = [var_vector(n + 1, ((i + r + k) % (n + 1)) + 1)
-              for k in range(0, s + 1)]
-        g2 = [var_vector(n + 1, ((i + r + 1 + k) % (n + 1)) + 1)
-              for k in range(0, s + 1)]
-        fi = fy.substitute_affine(f_imgs, n + 1)
-        parts.append(fi * gy.substitute_affine(g2, n + 1))
-        parts.append(-(fi * gy.substitute_affine(g1, n + 1)))
-    return reduce_y(rf_sum_a(n + 1, parts))
+
+    def g_from(j):
+        # g(y_j, .., y_(j+s)), labels mod m
+        return gy.substitute_affine([var_vector(m, (j + k) % m + 1)
+                                     for k in range(s + 1)], m)
+
+    # f(y_0, .., y_r) * (g(y_(r+1), .., y_(r+s+1)) - g(y_r, .., y_(r+s)))
+    seed = unreduce(f).extended(m) * (g_from(r + 1) - g_from(r))
+    return reduce_y(rf_sum_a(m, rotations(seed)))
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,15 @@ class TestBracketRes:
         assert_usage_error(code, out, err)
         assert "'2'" in err and "max_depth" in err
 
+    @pytest.mark.parametrize("depth", ["0", "-1", "-5"])
+    def test_res_depth_below_one(self, capsys, tmp_path, depth):
+        # a depth below 1 names no component
+        path = tmp_path / "psi3.json"
+        path.write_text(json.dumps(psi_odd(3, 3).to_json_dict()))
+        code, out, err = invoke(capsys, "res", "--element", str(path),
+                                "--depth", depth)
+        assert_usage_error(code, out, err)
+
     @pytest.mark.parametrize("field, value", [
         ("const", "1/0"), ("const", "2/00"), ("const", "1.5"),
         ("const", " 1"), ("const", "x"), ("const", 3), ("weight", 3.5),
@@ -231,6 +240,12 @@ class TestContract:
             code, out, err = invoke(capsys, "bracket", "--f", "sd:1",
                                     "--g", "sd:2", "--max-depth", depth)
             assert_usage_error(code, out, err)
+
+    def test_zero_bracket_prints_zero(self, capsys):
+        # a zero series prints 0, like a zero component and expression
+        code, out, err = invoke(capsys, "bracket", "--f", "psi3", "--g",
+                                "psi3", "--max-depth", "2")
+        assert (code, out, err) == (0, "0\n", "")
 
     def test_dims_empty_weight_range(self, capsys):
         code, out, err = invoke(capsys, "dims", "--space", "ls2",

@@ -296,16 +296,12 @@ class TestSporadic:
         assert c_n(1).equals(mono(-2))
 
     def test_c_n_cyclic(self):
-        # plain (unsigned) rotation of the y labels fixes c_n
-        from dshuffle.ratfun import var_vector
-        from dshuffle.series import reduce_y, unreduce
+        # every plain (unsigned) rotation of the y labels fixes c_n
+        from dshuffle.series import reduce_y, rotations, unreduce
         for n in (2, 3, 4):
             f = c_n(n)
-            fy = unreduce(f)
-            images = [var_vector(n + 1, (k % (n + 1)) + 1)
-                      for k in range(1, n + 2)]
-            rotated = fy.substitute_affine(images, n + 1)
-            assert reduce_y(rotated).equals(f)
+            for rotated in rotations(unreduce(f)):
+                assert reduce_y(rotated).equals(f)
 
     def test_q4_residue(self):
         q = Q4()

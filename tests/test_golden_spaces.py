@@ -5,7 +5,9 @@ compares its SHA-256 with a digest recorded before the linear-algebra
 paths of modforms and anatomy were merged into one elimination.  The row
 reduced echelon form depends only on the row space, so neither the order
 of the conditions nor repeated or rescaled rows may move any of these
-bytes.
+bytes.  The cyclic_orbits case, the elements built as sums over cyclic
+rotations of the y-labels, was recorded before those sums shared one
+rotation (series.rotations).
 """
 
 import hashlib
@@ -14,7 +16,12 @@ import json
 import pytest
 
 from dshuffle import anatomy, modforms
+from dshuffle.gens import Q4, z3
 from dshuffle.rationals import rat_str
+from dshuffle.resflt import highest_weight_h, sl2_e, sl2_f_via_rotations
+from dshuffle.series import dihedral_bracket, ihara_bracket_component
+
+from conftest import mono
 
 
 def _texts(values):
@@ -54,6 +61,18 @@ def _chi_q4():
     return [json.dumps(expr.to_json_dict(), sort_keys=True), rat_str(q4)]
 
 
+def _cyclic_orbits():
+    f2 = ihara_bracket_component(mono(2), mono(4))
+    values = ([z3(), Q4()]
+              + [modforms.exceptional_e(modforms.period_space(w, "even")[0])
+                 for w in (12, 16)]
+              + [dihedral_bracket(f, g) for f, g in
+                 ((mono(2), mono(4)), (mono(-2), mono(4)), (f2, mono(6)))]
+              + [sl2_f_via_rotations(g)
+                 for g in (sl2_e(f2), highest_weight_h(1, 2))])
+    return [v.text() for v in values]
+
+
 CASES = {
     "period_space": (_period_spaces, "f10d399b6a7adad349b315851825170c"
                      "abe3a75a823bccbf2d6d760e57d85c95"),
@@ -65,6 +84,8 @@ CASES = {
                     "531a91013ce38fae2fa98663cec04d3e"),
     "chi_q4_decomposition": (_chi_q4, "3044c80a53f7fa4dbdfe35fed48359fb"
                              "0df58c38a60d2420c0d0f0a942fa8e19"),
+    "cyclic_orbits": (_cyclic_orbits, "815b3ba4def2da0cc3589a6d6b0043982"
+                      "ff3e7b9302ec61fc3ccf4a46af8aad2"),
 }
 
 

@@ -3,7 +3,7 @@ import itertools
 import pytest
 import sympy
 
-from dshuffle import linalg, modforms, ratfun
+from dshuffle import linalg, ratfun, series
 from dshuffle.rationals import QQ
 from dshuffle.ratfun import (Polynomial, RationalFunction, coefficient_rows,
                              monomials, var_vector)
@@ -382,8 +382,8 @@ class TestRowOracle:
         for cls in (Polynomial, RationalFunction):
             monkeypatch.setattr(cls, "substitute_affine", spy(
                 "substitute_affine", cls.substitute_affine))
-        monkeypatch.setattr(modforms, "rf_sum_a",
-                            spy("rf_sum_a", modforms.rf_sum_a))
+        monkeypatch.setattr(series, "rf_sum_a",
+                            spy("rf_sum_a", series.rf_sum_a))
         monkeypatch.setattr(ratfun, "rf_sum_a",
                             spy("rf_sum_a", ratfun.rf_sum_a))
         monkeypatch.setattr(ratfun, "_horner", spy("_horner", ratfun._horner))

@@ -2,10 +2,11 @@ import pytest
 
 from dshuffle.rationals import QQ
 from dshuffle.ratfun import RationalFunction, linear_form, parse, rf_sum_a
-from dshuffle.series import (DepthSeries, cyclic_rotate, dihedral_bracket,
-                             ihara_action_component,
+from dshuffle.series import (DepthSeries, cyclic_rotate, cyclic_sum,
+                             dihedral_bracket, ihara_action_component,
                              ihara_bracket_component, is_translation_invariant,
-                             plus_truncate, reduce_y, series_ihara_action,
+                             plus_truncate, reduce_y, rotations,
+                             series_ihara_action,
                              series_ihara_bracket, series_stuffle,
                              shuffle_concat, sigma, stuffle_concat,
                              stuffle_exp, tau, unreduce)
@@ -275,6 +276,34 @@ class TestDihedralOperators:
         expect = RationalFunction.from_num_den(
             Polynomial.const(d, (-1) ** d), den)
         assert got.equals(expect)
+
+
+class TestRotationOracle:
+    """rotations and cyclic_sum against u evaluated at the relabelled
+    points, at random rational points off the poles."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_rotations(self, m):
+        rng = make_rng(60 + m)
+        u = random_rf(rng, m, 2, 2)
+        turns = rotations(u)
+        assert len(turns) == m
+        for k, turn in enumerate(turns):
+            # y_i -> y_(i+k mod m)
+            assert agrees_pointwise(
+                turn, lambda y: u.evaluate(
+                    tuple(y[(i + k) % m] for i in range(m))), rng, m)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_cyclic_sum(self, m):
+        rng = make_rng(70 + m)
+        u = random_rf(rng, m, 2, 2)
+
+        def oracle(x):
+            y = (QQ(0),) + x
+            return sum(u.evaluate(tuple(y[(i + k) % m] for i in range(m)))
+                       for k in range(m))
+        assert agrees_pointwise(cyclic_sum(u), oracle, rng, m - 1)
 
 
 class TestExpAndTruncation:
