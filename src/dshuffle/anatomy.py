@@ -188,7 +188,7 @@ def chi_q4_decomposition(weight):
     sol, kernel_dim = _solve_residues(
         word_series + [q4_word], lead,
         [_depth_residue(d) for d in range(2, 5)]
-        + [lambda s, i=i: s.component(5).residue(i).drop_variable(i)
+        + [lambda s, i=i: s.component(5).residue(i)
            for i in (2, 3, 4)])
     # the last unknown is the Q4 coefficient, which zip leaves out
     return (BracketExpression._solved(weight, words, sol, "chi", kernel_dim),

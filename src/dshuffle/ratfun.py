@@ -50,13 +50,13 @@ Kernels:
     multiplication, a Horner step, a division carry); a product of
     monomials is the sum of their keys; the exponent of x_i is
     key >> 16*(d + 1 - i) & _MASK, so a layer in a pivot variable is a
-    shift and a mask; re-embedding, relabelling and dropping a variable
-    move fields.  Only a product, a form multiplication and the clearing
-    of a sum to a common denominator can raise the degree; each checks
-    the degree of its inputs first, so no field ever carries into its
-    neighbour.  Every other kernel (Horner substitution, relabelling,
-    exact division, derivative) yields terms of at most the input's
-    degree, and the total degree bounds every field.
+    shift and a mask; re-embedding and relabelling move fields.  Only a
+    product, a form multiplication and the clearing of a sum to a common
+    denominator can raise the degree; each checks the degree of its
+    inputs first, so no field ever carries into its neighbour.  Every
+    other kernel (Horner substitution, relabelling, exact division,
+    derivative) yields terms of at most the input's degree, and the
+    total degree bounds every field.
   * Every kernel works on the integer terms; a rational operation runs
     once per polynomial, on the content.  A sum is taken over a common
     content, the gcd of the summands' content numerators over the lcm of
@@ -140,6 +140,12 @@ class ExponentOverflow(ValueError):
 _W = 16
 _MASK = (1 << _W) - 1
 
+# the largest arity, or max_depth of a series, that JSON may declare: a
+# dense form has arity + 1 entries, so a few bytes could ask for gigabytes.
+# The costliest res calls within it take 0.2 s on a 2-vCPU host (one R of
+# a depth-64 value over all 2080 forms x_a - x_b, or R iterated down
+# 1/(x_1 .. x_64)); their cost grows as the cube of the arity (0.9 s at 100)
+MAX_ARITY = 64
 
 # the step of the divisibility pretest's fixed evaluation point
 # x_i = i * _STEP mod PRIME, which is nonzero
@@ -990,65 +996,40 @@ class RationalFunction:
                         [self.partial(i) for i in range(1, self.arity + 1)])
 
     def residue(self, a, b=0):
-        """Residue along x_a = x_b (b = 0: along x_a = 0).
-
-        The result is a rational function of the same arity in which the
-        slot of x_a is unused (x_a was substituted by x_b); callers that
-        want a smaller arity should follow with drop_variable.  Raises
-        PoleOrderError when the pole order exceeds one.
+        """Residue along x_a = x_b (b = 0: along x_a = 0), a function of
+        the other variables: slots above x_a move down one, as in laurent.
+        Raises PoleOrderError when the pole order exceeds one.
         """
         form = linear_form(a, b, self.arity)
         k = self.den.get(form, 0)
-        if k == 0:
-            return RationalFunction.zero(self.arity)
         if k > 1:
             raise PoleOrderError("pole of order %d along %s"
                                  % (k, form_text(form)))
-        return self._off_pole(form, a, b)
+        return self.laurent(a, b)
 
-    def laurent_residue(self, a, b=0):
-        """Coefficient of 1/(x_a - x_b) in the Laurent expansion along the
-        hyperplane, for poles of any order."""
-        form = linear_form(a, b, self.arity)
-        m = self.den.get(form, 0)
-        if m == 0:
-            return RationalFunction.zero(self.arity)
-        return self._off_pole(form, a, b, m - 1).scale(
-            QQ(1, factorial(m - 1)))
+    def laurent(self, a, b=0, j=1):
+        """Coefficient of (x_a - x_b)^(-j) in the Laurent expansion along
+        the hyperplane x_a = x_b, for a pole of any order m.
 
-    def laurent_coefficient_order2(self, a, b=0):
-        """Coefficient of the order-2 pole along x_a = x_b.
-
-        Used for the one named exception in the residue filtration; this is
-        not a residue.
+        It is the numerator over the other forms, differentiated m - j
+        times in x_a and divided by (m - j)!, at x_a = x_b, in arity - 1
+        variables: x_a -> x_b and x_i -> x_(i-1) for i > a.
         """
         form = linear_form(a, b, self.arity)
-        k = self.den.get(form, 0)
-        if k > 2:
-            raise PoleOrderError("pole order %d > 2" % k)
-        if k < 2:
-            return RationalFunction.zero(self.arity)
-        return self._off_pole(form, a, b)
-
-    def _off_pole(self, form, a, b, order=0):
-        """The numerator over every form but form = x_a - x_b,
-        differentiated order times in x_a, at x_a = x_b."""
+        m = self.den.get(form, 0)
+        n = self.arity - 1
+        if m < j:
+            return RationalFunction.zero(n)
         # num stays normalized against the remaining forms
         rest = RationalFunction(self.arity, self.num,
                                 {f: k for f, k in self.den.items()
                                  if f != form})
-        for _ in range(order):
+        for _ in range(m - j):
             rest = rest.partial(a)
-        return rest.residue_free_subs(a, b)
-
-    def residue_free_subs(self, a, b):
-        """Substitute x_a -> x_b assuming no pole along x_a = x_b."""
-        form = linear_form(a, b, self.arity)
-        if self.den.get(form, 0):
-            raise PoleOrderError("value has a pole along %s" % form_text(form))
-        images = [var_vector(self.arity, i) for i in range(1, self.arity + 1)]
-        images[a - 1] = var_vector(self.arity, b)
-        return self.substitute_affine(images, self.arity)
+        images = [var_vector(n, b if i == a else i - (i > a))
+                  for i in range(1, self.arity + 1)]
+        value = rest.substitute_affine(images, n)
+        return value if m == j else value.scale(QQ(1, factorial(m - j)))
 
     # -- substitution
 
@@ -1072,22 +1053,6 @@ class RationalFunction:
         if num.is_zero():
             return RationalFunction.zero(target_arity)
         return RationalFunction(target_arity, num, counts)
-
-    def drop_variable(self, i):
-        """Remove an unused variable slot, renumbering higher slots down."""
-        s = _shift(self.arity, i)
-        if any(k >> s & _MASK for k in self.num.ints):
-            raise ArityMismatch("x%d appears in the numerator" % i)
-        for f in self.den:
-            if f[i]:
-                raise ArityMismatch("x%d appears in a denominator form" % i)
-        # the fields above x_i move down by one field; the rest stay
-        low = (1 << s) - 1
-        num = _poly(self.arity - 1, self.num.content,
-                    {((k >> (s + _W)) << s) | (k & low): c
-                     for k, c in self.num.ints.items()})
-        den = {f[:i] + f[i + 1:]: k for f, k in self.den.items()}
-        return RationalFunction(self.arity - 1, num, den)
 
     def extended(self, target_arity, offset=0):
         """View in a larger ring, with variables shifted up by offset."""
@@ -1160,9 +1125,9 @@ class RationalFunction:
     @classmethod
     def from_json_dict(cls, data):
         arity = data["arity"]
-        if not (type(arity) is int and arity >= 0):
-            raise ParseError("arity %r is not a non-negative integer"
-                             % (arity,))
+        if not (type(arity) is int and 0 <= arity <= MAX_ARITY):
+            raise ParseError("arity %r is not an integer from 0 to %d"
+                             % (arity, MAX_ARITY))
         terms = {}
         for entry in data["num"]:
             if not (type(entry) is list and len(entry) == 3

@@ -1,16 +1,16 @@
 """Residue maps, the residue filtration, and the sl2 operators.
 
 The basic map R sends a depth-r function to the residue of its simple pole
-along x_r = 0, viewed in one variable fewer.  The one exception is the
+along x_r = 0, a function of x_1..x_(r-1).  The one exception is the
 weight -1, depth-1 case, where the order-2 Laurent coefficient is taken
-instead; that rule is table-driven here, not a residue.
+instead; RationalFunction.laurent gives it, but it is not a residue.
 """
 
 from __future__ import annotations
 
 from .rationals import QQ
-from .ratfun import (Polynomial, PoleOrderError, RationalFunction,
-                     linear_form, rf_sum_a, var_vector)
+from .ratfun import (Polynomial, RationalFunction, linear_form, rf_sum_a,
+                     var_vector)
 from .series import (ihara_action_component, ihara_bracket_component,
                      reduce_y, rotations, stuffle_concat, unreduce)
 from .dsh_check import EquationReport
@@ -38,18 +38,15 @@ class FiltrationDegree:
 
 
 def R(f):
-    """Residue at x_r = 0 in one variable fewer, with the depth-1
-    weight -1 exception."""
+    """Residue at x_r = 0 as a function of x_1..x_(r-1); at depth 1 a
+    double pole gives the coefficient of x1^(-2) instead."""
     r = f.arity
     if r == 0:
         return RationalFunction.zero(0)
-    form = linear_form(r, 0, r)
-    order = f.pole_order(form)
-    if order <= 1:
-        return f.residue(r).drop_variable(r)
-    if order == 2 and r == 1:
-        return f.laurent_coefficient_order2(1).drop_variable(1)
-    raise PoleOrderError("pole of order %d along x%d=0" % (order, r))
+    if r == 1 and f.pole_order(linear_form(1, 0, 1)) == 2:
+        return f.laurent(1, j=2)
+    # residue raises PoleOrderError on any other pole of order above one
+    return f.residue(r)
 
 
 def iterated_R(f, m):
@@ -110,7 +107,7 @@ def res_nabla_commute(f):
     the left side uses the Laurent coefficient rather than the strict
     simple-pole residue."""
     r = f.arity
-    lhs = f.nabla().laurent_residue(r).drop_variable(r)
+    lhs = f.nabla().laurent(r)
     rhs = R(f).nabla()
     return EquationReport.from_residual("res_nabla_commute", (r,), lhs - rhs)
 
@@ -165,7 +162,7 @@ def sl2_f(f):
                   + [var_vector(r, r)]
                   + [var_vector(r, k - 1) for k in range(i + 2, r + 1)])
         g = f.substitute_affine(images, r)
-        res = g.residue(r, i).drop_variable(r)
+        res = g.residue(r, i)
         parts.append(res * RationalFunction.from_poly(
             Polynomial.variable(r - 1, i)))
     return -rf_sum_a(r - 1, parts)
@@ -229,11 +226,9 @@ def h3(a, b, c):
 def residue_structure_check(xi, d, i):
     """Res at x_i = 0 of the depth-d component against the stuffle
     factorization through the depth d-i+1 component."""
-    comp = xi.component(d)
-    lhs = comp.residue(i)
-    # drop the killed slot i, then compare in d-1 variables
-    lhs = lhs.drop_variable(i)
-    low = xi.component(d - i + 1).residue(1).drop_variable(1)
+    # both sides are compared in d-1 variables
+    lhs = xi.component(d).residue(i)
+    low = xi.component(d - i + 1).residue(1)
     if i == 1:
         rhs = low
     else:
@@ -248,13 +243,13 @@ def multi_residue_check(f_d, f_low, i, j):
     d = f_d.arity
     if not 2 <= i - j < d:
         raise ValueError("need 2 <= i - j < depth")
-    lhs = f_d.residue(i, j).drop_variable(i)
+    lhs = f_d.residue(i, j)
     # rhs: 1/((x_(j+1)-x_j)..(x_(i-1)-x_j)) times the residue of the lower
     # component at consecutive slots, in variables x_1..x_j, x_(i+1)..x_d
     dd = d - i + j + 1
     if f_low.arity != dd:
         raise ValueError("lower component must have arity %d" % dd)
-    res_low = f_low.residue(j + 1, j).drop_variable(j + 1)  # arity dd-1
+    res_low = f_low.residue(j + 1, j)  # arity dd-1
     n = d - 1
     images = ([var_vector(n, k) for k in range(1, j + 1)]
               + [var_vector(n, k - 1) for k in range(i + 1, d + 1)])

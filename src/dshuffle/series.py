@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 
 from .rationals import QQ, ZERO, ONE, rat_from_str, rat_str
-from .ratfun import (ArityMismatch, ParseError, RationalFunction,
+from .ratfun import (MAX_ARITY, ArityMismatch, ParseError, RationalFunction,
                      diff_vector, rf_sum_a, var_vector)
 
 
@@ -150,9 +150,9 @@ class DepthSeries:
     @classmethod
     def from_json_dict(cls, data):
         max_depth = data["max_depth"]
-        if not (type(max_depth) is int and max_depth >= 0):
-            raise ParseError("max_depth %r is not a non-negative integer"
-                             % (max_depth,))
+        if not (type(max_depth) is int and 0 <= max_depth <= MAX_ARITY):
+            raise ParseError("max_depth %r is not an integer from 0 to %d"
+                             % (max_depth, MAX_ARITY))
         comps = {}
         for d, f in data["components"].items():
             if not (d.isascii() and d.isdigit() and int(d) > 0):

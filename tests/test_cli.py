@@ -1,13 +1,17 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dshuffle import anatomy, gens
 from dshuffle.cli import emit, run
 from dshuffle.rationals import QQ
-from dshuffle.ratfun import RationalFunction, parse
+from dshuffle.ratfun import MAX_ARITY, RationalFunction, parse
 from dshuffle.gens import psi_odd
-from dshuffle.series import ihara_bracket_component
+from dshuffle.series import DepthSeries, ihara_bracket_component
 
 
 def invoke(capsys, *argv):
@@ -167,6 +171,32 @@ class TestBracketRes:
         assert_usage_error(code, out, err)
         assert "'2'" in err and "max_depth" in err
 
+    @pytest.mark.parametrize("data, depth, key", [
+        ({"max_depth": 1, "components": {"1": {
+            "arity": 2 ** 70, "num": [], "den": [[1, 0]]}}}, 1, "arity"),
+        ({"max_depth": 2 ** 70, "components": {}}, 2 ** 70, "max_depth"),
+        ({"max_depth": 10 ** 7, "components": {}}, 10 ** 7, "max_depth"),
+        ({"max_depth": MAX_ARITY + 1, "components": {}}, 1, "max_depth")])
+    def test_res_size_past_the_bound(self, capsys, tmp_path, data, depth,
+                                     key):
+        # a dense form has arity + 1 entries: a huge arity is refused
+        # before any form is built
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        code, out, err = invoke(capsys, "res", "--element", str(path),
+                                "--depth", str(depth))
+        assert_usage_error(code, out, err)
+        assert key in err
+
+    def test_res_size_at_the_bound(self, capsys, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"max_depth": MAX_ARITY, "components": {
+            str(MAX_ARITY): {"arity": MAX_ARITY, "num": [
+                [1, 1, [0] * MAX_ARITY]], "den": [[MAX_ARITY, 0]]}}}))
+        code, out, _ = invoke(capsys, "res", "--element", str(path),
+                              "--depth", str(MAX_ARITY))
+        assert (code, out) == (0, "(1)\n")
+
     @pytest.mark.parametrize("depth", ["0", "-1", "-5"])
     def test_res_depth_below_one(self, capsys, tmp_path, depth):
         # a depth below 1 names no component
@@ -214,6 +244,90 @@ def assert_usage_error(code, out, err):
     assert out == ""
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
+
+
+def _nodes(value, path=()):
+    """Every (path, node) of a JSON tree, the root first."""
+    yield path, value
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _nodes(v, path + (k,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _nodes(v, path + (i,))
+
+
+ODD_VALUES = st.one_of(
+    st.sampled_from([2 ** 70, -2 ** 70, 10 ** 6, -10 ** 6]),
+    st.sampled_from([0, -1, True, False, None, 0.5, ""]),
+    st.floats(allow_nan=False), st.text(max_size=3), st.builds(list),
+    st.builds(dict), st.builds(lambda: [[1, 0]]))
+
+
+@st.composite
+def mutated_series(draw):
+    """The JSON of psi3, psi-1 or z3 to depth 3 after one to three edits:
+    a node replaced by a value of another type, a key deleted or added, a
+    list shortened or lengthened."""
+    data = json.loads(json.dumps(gens.generator(
+        draw(st.sampled_from(["psi3", "psi-1", "z3"])), 3).to_json_dict()))
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(_nodes(data))
+        if draw(st.integers(0, 3)):
+            # the fields: nodes reached through dict keys only
+            nodes = [(path, node) for path, node in nodes
+                     if all(type(key) is str for key in path)]
+        path, node = draw(st.sampled_from(nodes))
+        if isinstance(node, dict) and draw(st.booleans()):
+            if node and draw(st.booleans()):
+                del node[draw(st.sampled_from(sorted(node)))]
+            else:
+                node[draw(st.text(max_size=4))] = draw(ODD_VALUES)
+        elif isinstance(node, list) and node and draw(st.booleans()):
+            if draw(st.booleans()):
+                del node[draw(st.integers(0, len(node) - 1)):]
+            else:
+                node.append(copy.deepcopy(draw(st.one_of(
+                    st.sampled_from(node), ODD_VALUES))))
+        elif path:
+            parent = data
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = draw(ODD_VALUES)
+        else:
+            data = draw(ODD_VALUES)
+    return data
+
+
+class TestResFuzz:
+    """A mutated element file either is a usage error or loads a series
+    whose JSON round-trips byte for byte."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=mutated_series(), depth=st.integers(1, 3),
+           iterate=st.integers(0, 4))
+    def test_res_element_boundary(self, tmp_path_factory, data, depth,
+                                  iterate):
+        path = tmp_path_factory.mktemp("fuzz") / "element.json"
+        path.write_text(json.dumps(data))
+        # each file is read at a drawn depth and at the top depth it declares
+        top = data.get("max_depth") if isinstance(data, dict) else None
+        for d in {depth, top if type(top) is int else depth}:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = run(["res", "--element", str(path), "--depth",
+                            str(d), "--iterate", str(iterate)])
+            if code == 2:
+                assert_usage_error(code, out.getvalue(), err.getvalue())
+                continue
+            assert code == 0 and out.getvalue() and not err.getvalue()
+            text = json.dumps(
+                DepthSeries.from_json_dict(data).to_json_dict(),
+                sort_keys=True)
+            again = DepthSeries.from_json_dict(json.loads(text))
+            assert json.dumps(again.to_json_dict(), sort_keys=True) == text
 
 
 class TestContract:
@@ -375,8 +489,8 @@ def golden_corpus():
     add("Q4 residue",
         lambda: gens.Q4().residue(3).equals(
             RationalFunction.from_json_dict(
-                {"arity": 4, "num": [[1, 1, [0, 0, 0, 0]]],
-                 "den": [[1, 0], [2, 0], [4, 0]]})))
+                {"arity": 3, "num": [[1, 1, [0, 0, 0]]],
+                 "den": [[1, 0], [2, 0], [3, 0]]})))
     add("psi0 depth 2",
         lambda: gens.psi_zero_component(2).equals(
             parse("2/(x1*x2)", arity=2).scale(QQ(1, 3))

@@ -304,11 +304,12 @@ class TestSporadic:
                 assert reduce_y(rotated).equals(f)
 
     def test_q4_residue(self):
+        # x4 moves down to slot 3 of the residue
         q = Q4()
         expect = RationalFunction.from_num_den(
-            Polynomial.const(4, 1),
-            {linear_form(1, 0, 4): 1, linear_form(2, 0, 4): 1,
-             linear_form(4, 0, 4): 1})
+            Polynomial.const(3, 1),
+            {linear_form(1, 0, 3): 1, linear_form(2, 0, 3): 1,
+             linear_form(3, 0, 3): 1})
         assert q.residue(3).equals(expect)
 
     def test_z3_weight(self):
