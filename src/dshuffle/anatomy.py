@@ -12,6 +12,7 @@ kernel dimension reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .rationals import QQ, rat_str
 from .ratfun import RationalFunction, coefficient_rows
@@ -63,9 +64,6 @@ class BracketExpression:
             if c != 0:
                 terms[w] = c
         return cls(terms, weight, basis, kernel_dim)
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=None)

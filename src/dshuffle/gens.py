@@ -230,9 +230,19 @@ def Q_series(n, max_depth):
 # s_d / psi_0 and the vineyard recursion
 
 
+# s_d(d) has d! numerator terms over its common denominator: 40,320 at
+# d = 8, which the CLI builds and prints in about 2 s and 47 MB on a 2-vCPU
+# host, and 362,880 at d = 9, nine times as many.  The bound follows from
+# that output size; MAX_ARITY = 64 is far above it.
+SD_MAX_DEPTH = 8
+
+
 @lru_cache(maxsize=None)
 def s_d(d):
     """The weight-zero components: sum of (d-k)/x_({0..d}-k, k)."""
+    if d > SD_MAX_DEPTH:
+        raise ValueError("s_d needs d <= %d (it has d! numerator terms), "
+                         "got %d" % (SD_MAX_DEPTH, d))
     parts = []
     for k in range(0, d):
         others = [a for a in range(0, d + 1) if a != k]
@@ -385,12 +395,13 @@ def series_tau(f):
 def twist_by_psi0(alpha, max_depth):
     """Recursive twist lifting a linearized solution to all depths."""
     d0 = alpha.arity
+    # every psi_0 component first, so that a depth past the s_d bound is
+    # refused before any bracket is built
+    psi0 = [psi_zero_component(i) for i in range(1, max_depth - d0 + 1)]
     comps = {d0: alpha}
     for k in range(1, max_depth - d0 + 1):
-        parts = []
-        for i in range(1, k + 1):
-            parts.append(ihara_bracket_component(psi_zero_component(i),
-                                                 comps[d0 + k - i]))
+        parts = [ihara_bracket_component(psi0[i - 1], comps[d0 + k - i])
+                 for i in range(1, k + 1)]
         comps[d0 + k] = rf_sum_a(d0 + k, parts).scale(QQ(1, 2 * k))
     w = alpha.weight()
     return DepthSeries(comps, max_depth, weight=w)

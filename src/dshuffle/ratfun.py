@@ -819,7 +819,12 @@ def diff_vector(arity, i, j):
 
 
 class RationalFunction:
-    """num / prod(den forms), normalized: no den form divides num."""
+    """num / prod(den forms), normalized: no den form divides num.
+
+    Values are shared: the caches of gens, anatomy and series hand the
+    same object to every caller, so nothing may mutate .num or .den (or
+    the numerator's ints) in place; every operation builds a new value.
+    """
 
     __slots__ = ("arity", "num", "den")
 

@@ -12,11 +12,18 @@ the bracket are sums over them (cyclic_sum reduces the sum at y_0 = 0).
 Truncation: components are only stored up to max_depth, and binary
 operations propagate the depth range on which the result is exact, so no
 silently wrong high-depth component is ever produced.
+
+Cache: the linearized Ihara action of one component on another is kept,
+keyed on the exact representation of both inputs.  The zeta elements are
+nested brackets of generators over two bases whose low-depth components
+agree, and chi is twisted again at each max_depth, so the same pair of
+components is acted on many times (ihara_action_component).
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .rationals import QQ, ZERO, ONE, rat_from_str, rat_str
 from .ratfun import (MAX_ARITY, ArityMismatch, ParseError, RationalFunction,
@@ -353,7 +360,26 @@ def _ihara_action_homogeneous(f, g, deg_f):
 
 
 def ihara_action_component(f, g):
-    """Linearized Ihara action on single components (any arities >= 1)."""
+    """Linearized Ihara action on single components (any arities >= 1).
+
+    The value is cached on the exact representation of f and g (arity,
+    numerator, denominator multiset): inner brackets such as
+    {g_3, g_-1} recur across words, weights and the two bases of anatomy,
+    and twist_by_psi0 acts by the same psi_0 components at each max_depth.
+    The action is a deterministic function of that representation, so a
+    key is sound; two representations of one value only miss a hit.
+    """
+    return _ihara_action(_key(f), _key(g))
+
+
+def _key(f):
+    return f.arity, f.num, frozenset(f.den.items())
+
+
+@lru_cache(maxsize=None)
+def _ihara_action(f_key, g_key):
+    f, g = (RationalFunction(arity, num, dict(den))
+            for arity, num, den in (f_key, g_key))
     if f.is_zero() or g.is_zero():
         return RationalFunction.zero(f.arity + g.arity)
     parts = [_ihara_action_homogeneous(RationalFunction(f.arity, piece.num,

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 
 import pytest
@@ -73,6 +75,23 @@ def spy_substitutions(monkeypatch):
         return substitute(self, images, target_arity)
     monkeypatch.setattr(RationalFunction, "substitute_affine", spy)
     return seen
+
+
+def program_caches():
+    """(module, name, function) of every lru_cache of the program, found
+    as the benchmark finds them: module-level names with cache_info."""
+    import dshuffle
+    for info in pkgutil.iter_modules(dshuffle.__path__):
+        module = importlib.import_module("dshuffle." + info.name)
+        for name, value in vars(module).items():
+            if (hasattr(value, "cache_info")
+                    and value.__module__ == module.__name__):
+                yield module, name, value
+
+
+def clear_program_caches():
+    for _, _, fn in program_caches():
+        fn.cache_clear()
 
 
 @pytest.fixture

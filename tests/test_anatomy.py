@@ -1,5 +1,9 @@
+import json
+
 import pytest
 
+from dshuffle import series
+from dshuffle.cli import emit
 from dshuffle.rationals import QQ
 from dshuffle.series import series_ihara_bracket, ihara_bracket_component
 from dshuffle.anatomy import (BracketExpression, SolveError, bracket_basis,
@@ -8,7 +12,7 @@ from dshuffle.anatomy import (BracketExpression, SolveError, bracket_basis,
                               generator_series, relation_check, solve_sigma)
 from dshuffle.gens import psi_odd
 
-from conftest import mono
+from conftest import clear_program_caches, mono, program_caches
 
 
 class TestBasis:
@@ -180,3 +184,58 @@ class TestSerialization:
     def test_expression_text(self):
         expr = BracketExpression({(5,): QQ(1), (3, 3, -1): QQ(-1, 5)}, 5)
         assert "psi[{3,3,-1}]" in expr.text()
+
+
+def _canonical(value):
+    """Exact JSON text of a cached value: a series, a component or the
+    rational dict of words._lie_projector."""
+    if hasattr(value, "to_json_dict"):
+        return json.dumps(value.to_json_dict(), sort_keys=True)
+    return json.dumps(sorted((list(k), str(c)) for k, c in value.items()))
+
+
+def _solve_all():
+    for basis in ("psi", "chi"):
+        for weight in (5, 7, 9):
+            solve_sigma(weight, 4, basis)
+
+
+class TestCacheState:
+    """Results do not depend on what the program caches hold, and no
+    cached value is changed in place by a later caller."""
+
+    def test_cold_and_warm_caches_give_the_same_bytes(self):
+        clear_program_caches()
+        cold = emit(solve_sigma(9, 4, "chi"), "json")
+        clear_program_caches()
+        for weight in (5, 7, 9):
+            solve_sigma(weight, 4, "psi")
+        assert series._ihara_action.cache_info().currsize > 0
+        warm = emit(solve_sigma(9, 4, "chi"), "json")
+        assert series._ihara_action.cache_info().hits > 0
+        assert warm == cold
+
+    def test_cached_values_are_never_mutated(self, monkeypatch):
+        clear_program_caches()
+        returned = {}   # id -> (value, its JSON when first returned)
+
+        def recording(fn):
+            def spy(*args, **kwargs):
+                value = fn(*args, **kwargs)
+                if id(value) not in returned:
+                    returned[id(value)] = (value, _canonical(value))
+                return value
+            return spy
+
+        caches = list(program_caches())
+        assert {"_ihara_action", "evaluate_word", "s_d"} <= {
+            name for _, name, _ in caches}
+        for module, name, fn in caches:
+            monkeypatch.setattr(module, name, recording(fn))
+        _solve_all()
+        before = {k: text for k, (_, text) in returned.items()}
+        _solve_all()
+        after = {k: _canonical(value) for k, (value, _) in returned.items()
+                 if k in before}
+        assert len(before) > 100
+        assert after == before

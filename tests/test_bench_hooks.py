@@ -53,3 +53,34 @@ def test_counted_names_resolve():
 def test_benchmark_caches_exist():
     for fn in (anatomy.evaluate_word, anatomy.generator_series):
         assert hasattr(fn, "cache_info")
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dshuffle"
+
+
+def _is_cache(decorator):
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(
+        node, "id", None)
+    return name in ("lru_cache", "cache")
+
+
+def test_caches_are_module_level():
+    """The benchmark empties a cache through its module attribute, so one
+    on a method or a nested function would survive between cold tasks."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and any(_is_cache(d) for d in node.decorator_list)):
+                assert id(node) in top, "%s:%d" % (path.name, node.lineno)
+                found.append(node.name)
+    assert {"_ihara_action", "evaluate_word", "s_d"} <= set(found)
+
+
+def test_ihara_action_cache_is_found():
+    from dshuffle import series
+    assert hasattr(series._ihara_action, "cache_info")
+    assert series._ihara_action.__module__ == "dshuffle.series"

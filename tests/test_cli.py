@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -374,6 +375,18 @@ class TestContract:
             code, out, err = invoke(capsys, "bracket", "--f", name,
                                     "--g", name, "--max-depth", "2")
             assert_usage_error(code, out, err)
+
+    def test_sd_above_the_bound(self, capsys):
+        # s_d has d! numerator terms; d > 8 is refused before any is built
+        for argv in (("gen", "sd", "--d", "9"),
+                     ("gen", "sd", "--d", str(10 ** 9)),
+                     ("verify", "--gen", "sd:9"),
+                     ("bracket", "--f", "sd:9", "--g", "sd:1")):
+            start = time.perf_counter()
+            code, out, err = invoke(capsys, *argv)
+            assert time.perf_counter() - start < 1
+            assert_usage_error(code, out, err)
+            assert "s_d needs d <= 8" in err
 
     def test_cn_generator_without_components(self, capsys):
         for name in ("cn:0", "cn:-2"):

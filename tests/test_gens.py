@@ -8,10 +8,10 @@ from dshuffle.series import (DepthSeries, ihara_bracket_component,
                              sigma)
 from dshuffle.gens import series_tau
 from dshuffle.dsh_check import check_shuffle, sharp_eval
-from dshuffle.gens import (P_series, Q_series, Q4, Vine, c_n, c_tilde, chi,
-                           enumerate_vines, lift_ell, lift_tilde, mu_minus,
-                           mu_plus, nu_series, psi_minus_one,
-                           psi_minus_one_component, psi_odd,
+from dshuffle.gens import (SD_MAX_DEPTH, P_series, Q_series, Q4, Vine, c_n,
+                           c_tilde, chi, enumerate_vines, lift_ell,
+                           lift_tilde, mu_minus, mu_plus, nu_series,
+                           psi_minus_one, psi_minus_one_component, psi_odd,
                            psi_odd_component, psi_pieces_ABC, psi_pieces_DEF,
                            psi_zero_component, s_d, s_vineyard,
                            star_conjugate, vine_poly, vine_rat,
@@ -199,6 +199,17 @@ class TestWeightZero:
 
     def test_witt_bracket(self):
         assert ihara_bracket_component(s_d(1), s_d(2)).equals(s_d(3))
+
+    def test_s_d_bound(self):
+        # 9! = 362,880 numerator terms: refused, and so are psi0 past depth
+        # 8 and a twist that needs psi0 past depth 8, before any bracket
+        assert SD_MAX_DEPTH == 8
+        for call in (lambda: s_d(9), lambda: s_d(10 ** 9),
+                     lambda: generator("sd:9", 2),
+                     lambda: psi_zero_component(12), lambda: chi(3, 10),
+                     lambda: generator("chi-1", 12)):
+            with pytest.raises(ValueError, match="s_d needs d <= 8"):
+                call()
 
 
 class TestLifts:

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from dshuffle import series
 from dshuffle.rationals import QQ
-from dshuffle.ratfun import RationalFunction, linear_form, parse, rf_sum_a
+from dshuffle.ratfun import (Polynomial, RationalFunction, linear_form, parse,
+                             rf_sum_a)
 from dshuffle.series import (DepthSeries, cyclic_rotate, cyclic_sum,
                              dihedral_bracket, ihara_action_component,
                              ihara_bracket_component, is_translation_invariant,
@@ -13,8 +16,8 @@ from dshuffle.series import (DepthSeries, cyclic_rotate, cyclic_sum,
 from dshuffle.gens import (mu_minus, mu_plus, nu_series, psi_minus_one,
                            psi_odd, psi_odd_component, s_d, vine_rat, Vine)
 
-from conftest import (agrees_pointwise, make_rng, mono, random_rf,
-                      spy_substitutions)
+from conftest import (agrees_pointwise, make_rng, mono, random_poly,
+                      random_rf, spy_substitutions)
 
 
 class TestCoordinates:
@@ -246,6 +249,88 @@ class TestIharaOracle:
         del seen[:]
         ihara_action_component(mono(-2) + mono(3), random_rf(rng, 2, 2, 1))
         assert [h.arity for h in seen] == [1, 1]
+
+
+def _uncached(f, g):
+    """The action computed without looking at the cache."""
+    return series._ihara_action.__wrapped__(series._key(f), series._key(g))
+
+
+@pytest.fixture
+def cold_action():
+    """An empty action cache before the test and after it, so no other
+    test sees the entries made here."""
+    series._ihara_action.cache_clear()
+    yield series._ihara_action
+    series._ihara_action.cache_clear()
+
+
+class TestIharaActionCache:
+    """The cached action against a cold recomputation, against its
+    homogeneous pieces evaluated by hand, and keyed on the representation."""
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 10 ** 6), r=st.integers(1, 3),
+           s=st.integers(1, 2), second_degree=st.sampled_from([None, 0, 3]))
+    def test_cached_equals_recomputed(self, cold_action, seed, r, s,
+                                      second_degree):
+        rng = make_rng(seed)
+        f = random_rf(rng, r, 2, rng.randint(0, 2), terms=2)
+        if second_degree is not None:
+            # a second homogeneous piece, over the same denominator
+            f = f + RationalFunction.from_num_den(
+                random_poly(rng, r, second_degree + f.den_degree(), 2),
+                f.den)
+        g = random_rf(rng, s, 2, rng.randint(0, 1), terms=2)
+        first = ihara_action_component(f, g)
+        assert ihara_action_component(f, g) is first
+        cold_action.cache_clear()
+        again = ihara_action_component(f, g)
+        assert again is not first
+        assert again.to_json() == first.to_json()
+        pieces = f.homogeneous_parts()
+        assert agrees_pointwise(
+            first,
+            lambda x: sum((series._ihara_action_homogeneous(p, g, deg)
+                           .evaluate(x) for deg, p in pieces.items()),
+                          QQ(0)),
+            rng, r + s)
+
+    def test_distinct_representations_get_distinct_entries(self,
+                                                           cold_action):
+        rng = make_rng(70)
+        f = random_rf(rng, 2, 2, 2, terms=2)
+        g = random_rf(rng, 1, 2, 1, terms=2)
+        form = next(iter(f.den))
+        higher = RationalFunction(f.arity, f.num,
+                                  {**f.den, form: f.den[form] + 1})
+        # sign, content, one form's multiplicity; then arity alone
+        variants = [(f, g), (-f, g), (f.scale(3), g), (higher, g),
+                    (g, f), (g, -f), (g, f.scale(3)), (g, higher),
+                    (RationalFunction.const(1, 2), g),
+                    (RationalFunction.const(2, 2), g)]
+        values = []
+        for n, (a, b) in enumerate(variants, 1):
+            values.append(ihara_action_component(a, b))
+            assert cold_action.cache_info().currsize == n
+            assert values[-1].to_json() == _uncached(a, b).to_json()
+        assert len({v.to_json() for v in values}) == len(variants)
+        for (a, b), value in zip(variants, values):
+            assert ihara_action_component(a, b) is value
+        info = cold_action.cache_info()
+        assert (info.hits, info.misses) == (len(variants), len(variants))
+
+    def test_equal_values_of_another_representation_miss(self, cold_action):
+        # the key is the representation, not the value: a numerator that
+        # a denominator form divides is a second entry with an equal value
+        f = RationalFunction.const(1, 1)
+        form = linear_form(1, 0, 1)
+        wide = RationalFunction(1, Polynomial.variable(1, 1), {form: 1})
+        g = mono(-2)
+        a, b = ihara_action_component(f, g), ihara_action_component(wide, g)
+        assert cold_action.cache_info().misses == 2
+        assert a.equals(b)
 
 
 class TestDihedralOperators:
