@@ -95,24 +95,22 @@ def _stuffle_term_eval(series, term, arity):
     merged = [i for i, l in enumerate(term) if isinstance(l, tuple)]
     r = len(term)
     comp = series.component(r)
+    # the divided difference (F(x_hi) - F(x_lo)) / (x_hi - x_lo) of each
+    # merged letter (lo, hi)
+    forms = [linear_form(hi, lo, arity)
+             for lo, hi in (term[pos] for pos in merged)]
     parts = []
     for mask in range(1 << len(merged)):
         word = list(term)
-        sign = 1
-        den = []
         for bit, pos in enumerate(merged):
             lo, hi = term[pos]
-            # divided difference (F(x_hi) - F(x_lo)) / (x_hi - x_lo)
-            if (mask >> bit) & 1:
-                word[pos] = lo
-                sign = -sign
-            else:
-                word[pos] = hi
-            den.append(linear_form(hi, lo, arity))
+            word[pos] = lo if mask >> bit & 1 else hi
         value = perm_eval(comp, word, arity)
-        coeff = RationalFunction.from_num_den(
-            Polynomial.const(arity, sign), den)
-        parts.append(value * coeff)
+        if bin(mask).count("1") % 2:
+            value = -value
+        for form in forms:
+            value = value.divide_form_exact(form)
+        parts.append(value)
     return rf_sum_a(arity, parts)
 
 

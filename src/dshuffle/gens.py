@@ -392,11 +392,21 @@ def series_tau(f):
 # twisting and the chi family
 
 
+# The twist's depth-d component is a sum of brackets with the psi_0
+# components, and its cost grows much faster than d: gen chi --weight 3
+# --depth 7 takes 15-17 s and prints 3.9 MB on a 2-vCPU host, and depth 8
+# does not finish in 60 s.  The bound follows from that cost; the s_d bound
+# alone would stop the twist only from depth 10 on.
+CHI_MAX_DEPTH = 7
+
+
 def twist_by_psi0(alpha, max_depth):
     """Recursive twist lifting a linearized solution to all depths."""
+    if max_depth > CHI_MAX_DEPTH:
+        raise ValueError("chi (the twist by psi0) needs max_depth <= %d, "
+                         "got %d"
+                         % (CHI_MAX_DEPTH, max_depth))
     d0 = alpha.arity
-    # every psi_0 component first, so that a depth past the s_d bound is
-    # refused before any bracket is built
     psi0 = [psi_zero_component(i) for i in range(1, max_depth - d0 + 1)]
     comps = {d0: alpha}
     for k in range(1, max_depth - d0 + 1):

@@ -102,9 +102,19 @@ Kernels:
     every quotient it is divided into share one pretest.  The pretest
     only decides whether an exact division is attempted, never its
     outcome, so it cannot change a result.
-  * Normalization tries only the forms that can divide, by two structural
-    certificates.  They rely on every stored value being normalized, so
-    no trusted constructor may skip a division that could succeed.
+    The point must be generic for the numerators built here, which are
+    sums of products of differences with small integer coefficients.  On
+    an arithmetic progression x_i = i*s such a numerator often vanishes
+    at a wrong root on the pivot line: x2 - 2*x3 is zero at x3 = x1,
+    the root of x3 - x1, which does not divide it.  A geometric
+    progression x_i = s^i fails in the same way on monomial relations
+    (x3*x4 - x1*x2^2 at x4 = x2).  The point is therefore drawn from a
+    pseudorandom generator whose steps mix xor and multiplication, which
+    follows no linear or multiplicative pattern mod p.
+  * Normalization tries only the forms that can divide, by three
+    structural certificates.  Sum and Product rely on every stored value
+    being normalized, so no trusted constructor may skip a division that
+    could succeed.
     Sum: a form whose top multiplicity in the common denominator belongs
     to one summand only cannot divide the summed numerator.  Modulo the
     form every other summand carries a factor of it, and the holder's
@@ -113,6 +123,14 @@ Kernels:
     Product: a normalized factor's numerator is divisible by none of its
     own forms, so it is divided only by the other factor's forms that it
     does not share.
+    Support: a form whose linear part involves a variable x_j that the
+    numerator lacks cannot divide it, since form * Q = N with Q nonzero
+    gives deg_(x_j) N = 1 + deg_(x_j) Q >= 1.  The variables present are
+    the nonzero fields of the or of the numerator's keys, read once per
+    numerator; a quotient lacks every variable its dividend lacks.  Every
+    normalization goes through one cancellation loop (_cancel), so this
+    check also settles the products of factors in separate or translated
+    variable blocks, as in the Ihara action and the concatenations.
 """
 
 from __future__ import annotations
@@ -147,9 +165,11 @@ _MASK = (1 << _W) - 1
 # 1/(x_1 .. x_64)); their cost grows as the cube of the arity (0.9 s at 100)
 MAX_ARITY = 64
 
-# the step of the divisibility pretest's fixed evaluation point
-# x_i = i * _STEP mod PRIME, which is nonzero
+# the increment of the splitmix64 generator (Steele, Lea & Flood, Fast
+# splittable pseudorandom number generators, OOPSLA 2014), which draws the
+# coordinates of the divisibility pretest's point (_pretest_point)
 _STEP = 0x9E3779B97F4A7C15
+_M64 = (1 << 64) - 1
 
 
 class PoleOrderError(ValueError):
@@ -1194,7 +1214,7 @@ class _DivisibilityTester:
 
     def __init__(self, poly):
         self.poly = poly
-        self.point = [(i + 1) * _STEP % PRIME for i in range(poly.arity)]
+        self.point = _pretest_point(poly.arity)
         self.values = None
         self.layers = {}
         self.budgets = {}
@@ -1277,12 +1297,44 @@ class _DivisibilityTester:
         return True
 
 
+_POINTS = {}
+
+
+def _pretest_point(arity):
+    """The point of the divisibility pretest in the arity, built once: x_i
+    is the i-th splitmix64 output reduced into 1 .. p - 1.  The mixing
+    steps alternate xor and multiplication, so the coordinates follow no
+    linear or multiplicative pattern mod p (see the module docstring)."""
+    point = _POINTS.get(arity)
+    if point is None:
+        coords = []
+        for i in range(1, arity + 1):
+            z = i * _STEP & _M64
+            z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _M64
+            z = (z ^ z >> 27) * 0x94D049BB133111EB & _M64
+            coords.append((z ^ z >> 31) % (PRIME - 1) + 1)
+        point = _POINTS[arity] = tuple(coords)
+    return point
+
+
 def _cancel(num, counts, forms=None):
     """Divide the nonzero num by each form of counts (or only by those of
     forms) while the form divides it, lowering counts in place; returns
-    the quotient.  One pretest serves every division."""
+    the quotient.  One pretest serves every division, and a form on a
+    variable that num lacks is not tried (see the module docstring)."""
+    forms = sorted(counts if forms is None else forms)
+    if not forms:
+        return num
     tester = _DivisibilityTester(num)
-    for f in sorted(counts if forms is None else forms):
+    # a field of the or of the keys is nonzero iff its variable is present
+    support = 0
+    for k in num.ints:
+        support |= k
+    absent = [i for i, s in enumerate(_shifts(num.arity), 1)
+              if not support >> s & _MASK]
+    for f in forms:
+        if any(f[i] for i in absent):
+            continue
         while counts[f] > 0:
             q = num.divide_form(f, tester)
             if q is None:
@@ -1346,6 +1398,9 @@ def rf_sum_a(arity, values):
         return RationalFunction.zero(arity)
     if any(v.arity != arity for v in values):
         raise ArityMismatch("mixed arities in sum")
+    if len(values) == 1:
+        # a normalized summand is its own sum
+        return values[0]
     common = _common_den(v.den for v in values)
     # a form held at its top multiplicity by one summand only cannot
     # divide the sum (see the module docstring)
@@ -1505,8 +1560,10 @@ def _tokenize(s):
     while pos < len(s):
         m = _TOKEN.match(s, pos)
         if not m:
-            if s[pos:].strip():
-                raise ParseError("unexpected character %r" % s[pos], pos)
+            rest = s[pos:].lstrip()
+            if rest:
+                raise ParseError("unexpected character %r" % rest[0],
+                                 len(s) - len(rest))
             break
         tokens.append((m.group(1), m.start(1)))
         pos = m.end()
@@ -1549,25 +1606,47 @@ class _Parser:
             raise ParseError("expected %r, found %r" % (value, tok), pos)
 
     def var_index(self, tok, pos):
-        idx = int(tok[1:])
+        idx = _bounded_int(tok[1:], MAX_ARITY)
+        if idx is None:
+            raise ParseError("variable %s exceeds x%d" % (tok, MAX_ARITY),
+                             pos)
         if idx == 0:
             raise ParseError("x0 is internal and cannot be used", pos)
         self.max_var = max(self.max_var, idx)
         return idx
 
     def parse_factors(self):
+        """One or more factors x_i or x_i^e; the total degree is bounded
+        like that of a packed monomial."""
         exps = {}
+        degree = 0
         while self.peek() is not None and self.peek().startswith("x"):
             tok, pos = self.next()
             idx = self.var_index(tok, pos)
             power = 1
             if self.peek() == "^":
                 self.next()
-                ptok, ppos = self.next()
+                ptok, pos = self.next()
                 if not ptok.isdigit():
-                    raise ParseError("expected exponent", ppos)
-                power = int(ptok)
+                    raise ParseError("expected exponent, found %r" % ptok,
+                                     pos)
+                power = _bounded_int(ptok, _MASK - degree)
+                if power is None:
+                    raise ParseError("exponent %s takes the total degree past "
+                                     "%d" % (ptok, _MASK), pos)
+            elif degree == _MASK:
+                raise ParseError("factor %s takes the total degree past %d"
+                                 % (tok, _MASK), pos)
             exps[idx] = exps.get(idx, 0) + power
+            degree += power
+        if not exps:
+            # only after '*' can the factors be missing
+            tok = self.peek()
+            if tok is None:
+                raise ParseError("expected a variable after '*', found the "
+                                 "end of input", len(self.s))
+            raise ParseError("expected a variable after '*', found %r" % tok,
+                             self.tokens[self.i][1])
         return exps
 
     def parse_term(self):
@@ -1652,12 +1731,14 @@ class _Parser:
         if self.max_var > arity:
             raise ParseError("variable x%d exceeds arity %d"
                              % (self.max_var, arity))
-        num = Polynomial(arity)
+        coeffs = {}
         for coeff, exps in terms:
             m = [0] * arity
             for idx, e in exps.items():
                 m[idx - 1] = e
-            num = num + Polynomial.monomial(arity, tuple(m), coeff)
+            m = tuple(m)
+            coeffs[m] = coeffs.get(m, ZERO) + coeff
+        num = Polynomial(arity, coeffs)
         den = []
         sign = ONE
         for a, b in pairs:
@@ -1672,6 +1753,22 @@ class _Parser:
         return RationalFunction.from_num_den(num, den)
 
 
+def _bounded_int(digits, bound):
+    """The int of a string of decimal digits, or None above the bound; a
+    long string is not converted."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(bound)) or int(digits) > bound:
+        return None
+    return int(digits)
+
+
 def parse(s, arity=None):
-    """Parse the canonical text form (tolerant about '*' in denominators)."""
+    """Parse the canonical text form (tolerant about '*' in denominators).
+
+    Variables run up to x_MAX_ARITY, as in JSON, and so does the arity;
+    a term's total degree is at most that of a packed monomial."""
+    if arity is not None and not (type(arity) is int
+                                  and 0 <= arity <= MAX_ARITY):
+        raise ParseError("arity %r is not an integer from 0 to %d"
+                         % (arity, MAX_ARITY))
     return _Parser(s, arity).parse()

@@ -388,6 +388,18 @@ class TestContract:
             assert_usage_error(code, out, err)
             assert "s_d needs d <= 8" in err
 
+    def test_chi_above_the_bound(self, capsys):
+        # the twist past depth 7 is refused before any bracket is built
+        for argv in (("gen", "chi", "--weight", "3", "--depth", "8"),
+                     ("verify", "--gen", "chi3", "--max-depth", "8"),
+                     ("bracket", "--f", "chi3", "--g", "psi3",
+                      "--max-depth", "8")):
+            start = time.perf_counter()
+            code, out, err = invoke(capsys, *argv)
+            assert time.perf_counter() - start < 1
+            assert_usage_error(code, out, err)
+            assert "needs max_depth <= 7, got 8" in err
+
     def test_cn_generator_without_components(self, capsys):
         for name in ("cn:0", "cn:-2"):
             code, out, err = invoke(capsys, "verify", "--gen", name,

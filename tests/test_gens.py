@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from dshuffle.rationals import QQ
@@ -8,14 +10,15 @@ from dshuffle.series import (DepthSeries, ihara_bracket_component,
                              sigma)
 from dshuffle.gens import series_tau
 from dshuffle.dsh_check import check_shuffle, sharp_eval
-from dshuffle.gens import (SD_MAX_DEPTH, P_series, Q_series, Q4, Vine, c_n,
+from dshuffle.gens import (CHI_MAX_DEPTH, SD_MAX_DEPTH, P_series, Q_series, Q4, Vine, c_n,
                            c_tilde, chi, enumerate_vines, lift_ell,
                            lift_tilde, mu_minus, mu_plus, nu_series,
                            psi_minus_one, psi_minus_one_component, psi_odd,
                            psi_odd_component, psi_pieces_ABC, psi_pieces_DEF,
                            psi_zero_component, s_d, s_vineyard,
-                           star_conjugate, vine_poly, vine_rat,
-                           vineyard_realize, x_AB_poly, z3, generator)
+                           star_conjugate, twist_by_psi0, vine_poly,
+                           vine_rat, vineyard_realize, x_AB_poly, z3,
+                           generator)
 
 from conftest import mono
 
@@ -201,15 +204,27 @@ class TestWeightZero:
         assert ihara_bracket_component(s_d(1), s_d(2)).equals(s_d(3))
 
     def test_s_d_bound(self):
-        # 9! = 362,880 numerator terms: refused, and so are psi0 past depth
-        # 8 and a twist that needs psi0 past depth 8, before any bracket
+        # 9! = 362,880 numerator terms: refused, and so is psi0 past depth
+        # 8 (the twist that needs it stops earlier, see test_chi_bound)
         assert SD_MAX_DEPTH == 8
         for call in (lambda: s_d(9), lambda: s_d(10 ** 9),
                      lambda: generator("sd:9", 2),
-                     lambda: psi_zero_component(12), lambda: chi(3, 10),
-                     lambda: generator("chi-1", 12)):
+                     lambda: psi_zero_component(12)):
             with pytest.raises(ValueError, match="s_d needs d <= 8"):
                 call()
+
+    def test_chi_bound(self):
+        # the twist past depth 7 is refused before any bracket is built,
+        # also where it would need psi0 past the s_d bound
+        assert CHI_MAX_DEPTH == 7
+        for call in (lambda: chi(3, 8), lambda: chi(-1, 9),
+                     lambda: chi(3, 10), lambda: generator("chi-1", 12),
+                     lambda: twist_by_psi0(mono(2), 8)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError,
+                               match=r"needs max_depth <= 7, got \d+"):
+                call()
+            assert time.perf_counter() - start < 1
 
 
 class TestLifts:

@@ -1,4 +1,5 @@
 import ast
+import functools
 import pathlib
 import re
 from math import gcd
@@ -8,16 +9,18 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 import dshuffle
-from dshuffle.rationals import QQ
-from dshuffle.ratfun import (_MASK, ArityMismatch, ExponentOverflow,
-                             ParseError, PoleOrderError, Polynomial,
-                             RationalFunction, _DivisibilityTester, _cancel,
-                             _split, coefficient_rows, form_normalize,
-                             linear_form, parse, rf_sum_a, var_vector)
+from dshuffle.rationals import PRIME, QQ
+from dshuffle.ratfun import (_MASK, MAX_ARITY, ArityMismatch,
+                             ExponentOverflow, ParseError, PoleOrderError,
+                             Polynomial, RationalFunction,
+                             _DivisibilityTester, _cancel, _split,
+                             coefficient_rows, form_normalize, linear_form,
+                             parse, rf_sum_a, var_vector)
 from dshuffle.gens import psi_zero_component, s_d
 from dshuffle.series import ihara_action_component
 
-from conftest import make_rng, mono, random_rf
+from conftest import (agrees_pointwise, clear_program_caches, make_rng, mono,
+                      random_rf)
 
 
 def rf(text, arity=None):
@@ -561,13 +564,17 @@ class TestCancellation:
         assert_cancel_agrees(got, expr)
 
     def test_zero_layers_at_the_degenerate_point(self):
-        # x3 - x1 - x2 vanishes at the pretest point x_i = i*step, so its
-        # multiples have the zero layer on the line of x4, whose length - 1
-        # bounds the multiplicity: 0 when the numerator lacks x4
-        f, x4_x1 = (0, -1, -1, 1, 0), linear_form(4, 1, 4)
+        # x3 - x1 - c, with c = x3 - x1 at the pretest point, vanishes
+        # there, so its multiples have the zero layer on the line of x4,
+        # whose length - 1 bounds the multiplicity: 0 when the numerator
+        # lacks x4
         r = rf("x1^2 + x2x3 + 2", 4).num
+        x = _DivisibilityTester(r).point
+        f = (-(x[2] - x[0]) % PRIME, -1, 0, 1, 0)
+        x4_x1 = linear_form(4, 1, 4)
         n = r.mul_form(f)
         tester = _DivisibilityTester(n)
+        assert tester.point == x
         assert tester._layer(4) == [0]
         assert not tester.may_divide(x4_x1)
         counts = {x4_x1: 1, f: 2}
@@ -578,10 +585,12 @@ class TestCancellation:
         assert _cancel(n, counts) == r and counts == {x4_x1: 1, f: 1}
 
     def test_forms_sharing_a_root_on_the_pivot_line(self):
-        # x4 - x3 and x4 - x1 - x2 both restrict to t - 3*step on the line
-        # of x4, so each one's budget counts the other's factor too
-        a, b = linear_form(4, 3, 4), (0, -1, -1, 0, 1)
+        # x4 - x3 and x4 - x1 - c, with c = x3 - x1 at the pretest point,
+        # share their root on the line of x4, so each one's budget counts
+        # the other's factor too
         q = rf("x4^2 + x1x3 + 2", 4).num
+        x = _DivisibilityTester(q).point
+        a, b = linear_form(4, 3, 4), (-(x[2] - x[0]) % PRIME, -1, 0, 0, 1)
         n = q.mul_form(a)
         tester = _DivisibilityTester(n)
         assert tester.may_divide(b)
@@ -591,6 +600,127 @@ class TestCancellation:
         both = n.mul_form(b)
         counts = {a: 2, b: 2}
         assert _cancel(both, counts) == q and counts == {a: 1, b: 1}
+
+    @pytest.mark.parametrize("num, form", [
+        # an arithmetic progression x_i = i*s puts a root of x2 - 2*x3 on
+        # the line of x3 through the root x3 = x1 ...
+        ("x2 - 2*x3", linear_form(3, 1, 3)),
+        # ... and a geometric one x_i = s^i a root of x3*x4 - x1*x2^2 on
+        # the line of x4 through x4 = x2
+        ("x3x4 - x1x2^2", linear_form(4, 2, 4))])
+    def test_the_pretest_point_has_no_progression(self, num, form):
+        n = rf(num).num
+        assert n.divide_form(form) is None
+        assert _DivisibilityTester(n)._budget(form) == 0
+
+    def test_pretest_point(self):
+        # built once per arity; nonzero and distinct mod p, so every form
+        # x_a - x_b and x_a is nonzero there
+        for arity in (0, 1, 4, MAX_ARITY):
+            point = _DivisibilityTester(Polynomial(arity)).point
+            assert point is _DivisibilityTester(Polynomial(arity)).point
+            assert len(point) == arity == len(set(point))
+            assert all(0 < x < PRIME for x in point)
+        assert _DivisibilityTester(Polynomial(3)).point == \
+            _DivisibilityTester(Polynomial(5)).point[:3]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_cancel_equals_a_plain_division_loop(self, data):
+        # q lacks some variables; the numerator q * prod f^k carries forms
+        # on any variables, and counts add forms on variables that q lacks
+        arity = data.draw(st.integers(2, 4))
+        used = data.draw(st.lists(st.integers(1, arity), min_size=1,
+                                  max_size=arity - 1, unique=True))
+        q = data.draw(polynomials(len(used))).substitute_affine(
+            [var_vector(arity, i) for i in sorted(used)], arity)
+        assume(q)
+        free = [i for i in range(1, arity + 1) if i not in used]
+        pairs = [(a, b) for a in range(1, arity + 1) for b in range(a)]
+        factors = data.draw(st.lists(st.sampled_from(pairs), max_size=3))
+        extra = data.draw(st.lists(st.sampled_from(
+            [(a, b) for a, b in pairs if a in free or b in free]),
+            max_size=3))
+        n = q.mul_forms(linear_form(a, b, arity) for a, b in factors)
+        counts = {}
+        for a, b in factors + extra + data.draw(st.lists(
+                st.sampled_from(pairs), max_size=2)):
+            f = linear_form(a, b, arity)
+            counts[f] = counts.get(f, 0) + 1
+        got_counts = dict(counts)
+        got = _cancel(n, got_counts)
+        want, want_counts = n, dict(counts)
+        for f in sorted(want_counts):
+            while want_counts[f] > 0:
+                quotient = want.divide_form(f, _NoPretest())
+                if quotient is None:
+                    break
+                want, want_counts[f] = quotient, want_counts[f] - 1
+        assert got == want and got_counts == want_counts
+        value = RationalFunction(arity, got, {f: k for f, k in
+                                              got_counts.items() if k})
+        assert_normalized(value)
+
+        def oracle(x):
+            v = n.evaluate(x)
+            for f, k in counts.items():
+                v /= (f[0] + sum(c * y for c, y in zip(f[1:], x))) ** k
+            return v
+        assert agrees_pointwise(value, oracle,
+                                make_rng(data.draw(st.integers(0, 99))),
+                                arity)
+
+    def test_a_single_summand_is_its_own_sum(self):
+        v = rf("(x1 + x2)/(x1 x2-x1)")
+        assert rf_sum_a(2, [v]) is v
+        assert rf_sum_a(2, [RationalFunction.zero(2), v]) is v
+        with pytest.raises(ArityMismatch):
+            rf_sum_a(3, [v])
+
+
+class TestPretestWaste:
+    def test_no_division_fails_after_the_pretest_passed(self, monkeypatch):
+        # counted work: on Ihara brackets and stuffle divided differences
+        # every division that the pretest lets through succeeds
+        from dshuffle.anatomy import solve_sigma
+        from dshuffle.dsh_check import check_stuffle
+        from dshuffle.gens import generator
+        passed, wasted, divided = [False], [], []
+        may_divide = _DivisibilityTester.may_divide
+        divide_form = Polynomial.divide_form
+
+        def spy_may_divide(tester, form):
+            passed[0] = may_divide(tester, form)
+            return passed[0]
+
+        def spy_divide_form(poly, form, tester=None):
+            passed[0] = False
+            quotient = divide_form(poly, form, tester)
+            if quotient is not None:
+                divided.append(form)
+            elif passed[0]:
+                wasted.append((poly, form))
+            return quotient
+        monkeypatch.setattr(_DivisibilityTester, "may_divide",
+                            spy_may_divide)
+        monkeypatch.setattr(Polynomial, "divide_form", spy_divide_form)
+        clear_program_caches()
+        try:
+            for basis in ("psi", "chi"):
+                solve_sigma(5, 4, basis)
+            assert check_stuffle(generator("psi-1", 4), 2, 2).passed
+        finally:
+            clear_program_caches()
+        assert divided
+        assert not wasted, "%d of %d divisions failed after the pretest " \
+            "passed" % (len(wasted), len(wasted) + len(divided))
+
+
+class _NoPretest:
+    """A pretest that lets every division be attempted."""
+
+    def may_divide(self, form):
+        return True
 
 
 def assert_canonical(p):
@@ -924,6 +1054,73 @@ class TestSerialization:
         sharp = sharp_eval(f, (1, 2))  # denominator x1+x2
         with pytest.raises(ValueError):
             sharp.to_json_dict()
+
+
+# tokens spliced into the fuzzed texts: each bound of the grammar, on both
+# sides, and the tokens that can end a term, a factor or a denominator
+_FUZZ_TOKENS = (
+    "x", "x0", "x1", "x64", "x65", "x999999999", "x" + "9" * 5000, "^",
+    "^0", "^2", "^65535", "^65536", "^99999", "^" + "9" * 5000, "*", "/",
+    "(", ")", "+", "-", "1/0", "0", "7/3", "-2", "x1-x1", "x2-x1",
+    "(x3-x1)", " ", "2*", "x1^65535", "x1^40000x2^40000", "\n")
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_seeds():
+    """The text of the psi3 components through depth 4, z3 and Q4."""
+    from dshuffle.gens import Q4, generator, z3
+    psi3 = generator("psi3", 4)
+    return tuple(v.text() for v in
+                 [psi3.component(d) for d in range(1, 5)] + [z3(), Q4()])
+
+
+@st.composite
+def mutated_texts(draw):
+    text = draw(st.sampled_from(_fuzz_seeds()))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 8)))
+        kind = draw(st.sampled_from(("delete", "splice", "repeat")))
+        if kind == "delete":
+            text = text[:i] + text[j:]
+        elif kind == "splice":
+            text = text[:i] + draw(st.sampled_from(_FUZZ_TOKENS)) + text[j:]
+        else:
+            text = text[:j] + text[i:j] + text[j:]
+    return text
+
+
+class TestParseFuzz:
+    """A mutated text either is a ParseError or parses to a value whose
+    text() parses back to the same representation."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=mutated_texts(), arity=st.sampled_from((None, 4, MAX_ARITY)))
+    def test_parse_boundary(self, text, arity):
+        try:
+            g = parse(text, arity)
+        except ParseError:
+            return
+        again = parse(g.text(), g.arity)
+        assert (again.arity, again.num, again.den) == (g.arity, g.num, g.den)
+        assert again.text() == g.text()
+
+    @pytest.mark.parametrize("text, arity, token", [
+        ("x999999999", None, "x999999999"), ("x1", 10 ** 6, "1000000"),
+        ("x65", None, "x65"), ("x1/(x70)", None, "x70"),
+        ("x1^99999", None, "99999"), ("x1^40000x2^40000", None, "40000"),
+        ("x1^65535x2", None, "x2"), ("2*", None, "'*'"),
+        ("2*x1 + 3*/(x1)", None, "'/'")])
+    def test_parse_bounds(self, text, arity, token):
+        with pytest.raises(ParseError, match=re.escape(token)):
+            parse(text, arity)
+
+    def test_parse_at_the_bounds(self):
+        assert parse("x64").arity == MAX_ARITY
+        assert parse("x1", MAX_ARITY).arity == MAX_ARITY
+        assert parse("x1^65535").num.degree() == _MASK
+        assert parse("x1^65534x2").num.degree() == _MASK
+        assert parse("x1^0003 + x1^3").text() == "(2*x1^3)"
 
 
 class TestSumHelper:
