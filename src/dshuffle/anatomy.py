@@ -227,17 +227,3 @@ def congruence_check(value, prime):
                 return False
     return True
 
-
-def relation_check(left, right, depth_bound):
-    """Compare two depth series through the given depth."""
-    from .dsh_check import EquationReport
-    diff = left - right
-    residual = RationalFunction.zero(1)
-    passed = True
-    for d in range(1, depth_bound + 1):
-        c = diff.component(d)
-        if not c.is_zero():
-            residual = c
-            passed = False
-            break
-    return EquationReport("relation", (depth_bound,), residual, passed)

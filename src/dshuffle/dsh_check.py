@@ -148,11 +148,6 @@ def check_lambda_form(f, sharp):
     return EquationReport.from_residual(family, (n,), rf_sum_a(n, parts))
 
 
-def check_translation_invariance(f):
-    """nabla residual of a y-coordinate function."""
-    return EquationReport.from_residual("translation", (f.arity,), f.nabla())
-
-
 def check_dihedral(f):
     """Antipodal symmetries f + sigma(f) = f + tau(f) = 0."""
     r1 = f + sigma(f)
@@ -161,19 +156,6 @@ def check_dihedral(f):
     report = EquationReport("dihedral", (f.arity,), residual,
                             r1.is_zero() and r2.is_zero())
     return report
-
-
-def check_parity(depth, degree):
-    """No nonzero polynomial solutions at odd homogeneous degree."""
-    from .modforms import lin_ds_nullspace
-    basis = lin_ds_nullspace(depth, degree + depth)
-    if basis:
-        residual = basis[0]
-        passed = degree % 2 == 0
-    else:
-        residual = RationalFunction.zero(depth)
-        passed = True
-    return EquationReport("parity", (depth, degree), residual, passed)
 
 
 def _signed_reversal(f):

@@ -21,18 +21,28 @@ from .series import (DepthSeries, cyclic_sum, ihara_bracket_component,
 
 
 # ---------------------------------------------------------------------------
+# depth bound
+
+
+# s_d(d) has d! numerator terms over its common denominator: 40,320 at
+# d = 8, which the CLI builds and prints in about 2 s and 47 MB on a 2-vCPU
+# host, and 362,880 at d = 9, nine times as many.  psi_3 and psi_-1 grow
+# faster, about tenfold per depth to some 350,000 terms at depth 8: gen psi
+# --weight 3 --depth 8 takes 15 s and prints 14 MB, and depth 9 does not
+# finish in 30 s.  gen vine --n prints the 2^(n-1) vines of n grapes with
+# their expanded x_T, 26 MB at n = 11.  Each family stops at this one
+# bound, which follows from those sizes; MAX_ARITY = 64 is far above it.
+SD_MAX_DEPTH = 8
+
+
+def _bound_depth(family, name, value, cause):
+    if value > SD_MAX_DEPTH:
+        raise ValueError("%s needs %s <= %d (%s), got %d"
+                         % (family, name, SD_MAX_DEPTH, cause, value))
+
+
+# ---------------------------------------------------------------------------
 # x_{A,B} products
-
-
-def x_AB_poly(A, B, arity):
-    """The polynomial prod over a in A, b in B of (x_a - x_b), x_0 = 0."""
-    forms = []
-    for a in A:
-        for b in B:
-            if a == b:
-                raise ValueError("vanishing factor x%d - x%d" % (a, b))
-            forms.append(diff_vector(arity, a, b))
-    return Polynomial.const(arity, 1).mul_forms(forms)
 
 
 def x_AB_inverse(A, B, arity, num=None):
@@ -92,6 +102,8 @@ def psi_odd_component(n, d):
 
 def psi_odd(n, max_depth):
     """The weight-(2n+1) solution as a depth series."""
+    _bound_depth("psi_%d" % (2 * n + 1), "max_depth", max_depth,
+                 "its terms grow tenfold per depth")
     comps = {d: psi_odd_component(n, d) for d in range(1, max_depth + 1)}
     return DepthSeries(comps, max_depth, weight=2 * n + 1)
 
@@ -156,6 +168,7 @@ class Vine:
 
 def enumerate_vines(n):
     """All vines with n grapes (one per composition of n)."""
+    _bound_depth("a vine list", "n", n, "there are 2^(n-1) vines")
     out = []
 
     def rec(prefix, rest):
@@ -196,6 +209,8 @@ def psi_minus_one_component(d):
 
 
 def psi_minus_one(max_depth):
+    _bound_depth("psi_-1", "max_depth", max_depth,
+                 "its terms grow tenfold per depth")
     comps = {d: psi_minus_one_component(d) for d in range(1, max_depth + 1)}
     return DepthSeries(comps, max_depth, weight=-1)
 
@@ -230,19 +245,10 @@ def Q_series(n, max_depth):
 # s_d / psi_0 and the vineyard recursion
 
 
-# s_d(d) has d! numerator terms over its common denominator: 40,320 at
-# d = 8, which the CLI builds and prints in about 2 s and 47 MB on a 2-vCPU
-# host, and 362,880 at d = 9, nine times as many.  The bound follows from
-# that output size; MAX_ARITY = 64 is far above it.
-SD_MAX_DEPTH = 8
-
-
 @lru_cache(maxsize=None)
 def s_d(d):
     """The weight-zero components: sum of (d-k)/x_({0..d}-k, k)."""
-    if d > SD_MAX_DEPTH:
-        raise ValueError("s_d needs d <= %d (it has d! numerator terms), "
-                         "got %d" % (SD_MAX_DEPTH, d))
+    _bound_depth("s_d", "d", d, "it has d! numerator terms")
     parts = []
     for k in range(0, d):
         others = [a for a in range(0, d + 1) if a != k]

@@ -132,9 +132,6 @@ class PeriodPolynomial:
         self.poly = poly
         self.parity = parity
 
-    def degree(self):
-        return self.poly.degree()
-
     def __repr__(self):
         return "PeriodPolynomial(%s, %s)" % (self.poly.text(), self.parity)
 

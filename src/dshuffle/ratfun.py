@@ -135,7 +135,6 @@ Kernels:
 
 from __future__ import annotations
 
-import json
 import re
 from collections.abc import Mapping
 from itertools import accumulate
@@ -894,10 +893,6 @@ class RationalFunction:
         return cls(p.arity, p, {})
 
     @classmethod
-    def monomial(cls, arity, exps, coeff=1):
-        return cls.from_poly(Polynomial.monomial(arity, exps, coeff))
-
-    @classmethod
     def power_of_var(cls, arity, i, n, coeff=1):
         """coeff * x_i^n for any integer n (negative allowed)."""
         if n >= 0:
@@ -931,9 +926,6 @@ class RationalFunction:
         """degree + arity, the natural grading on depth-d components."""
         d = self.degree()
         return None if d is None else d + self.arity
-
-    def is_homogeneous(self):
-        return self.is_zero() or self.degree() is not None
 
     def pole_order(self, form):
         return self.den.get(form, 0)
@@ -1144,9 +1136,6 @@ class RationalFunction:
             den.extend([list(form_difference_pair(f))] * self.den[f])
         return {"arity": self.arity, "num": num, "den": den}
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, data):
         arity = data["arity"]
@@ -1183,10 +1172,6 @@ class RationalFunction:
                                  % (pair, arity))
             den.append(linear_form(pair[0], pair[1], arity))
         return cls.from_num_den(Polynomial(arity, terms), den)
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_json_dict(json.loads(s))
 
 
 class _DivisibilityTester:
@@ -1551,7 +1536,9 @@ def condition_rows(arity, exps, conditions, den):
 # text parsing
 
 
-_TOKEN = re.compile(r"\s*(x\d+|\^|\d+/\d+|\d+|[+\-*/()])")
+# ASCII digits and whitespace only: in Unicode mode \d would read other
+# scripts' digits as decimal ones
+_TOKEN = re.compile(r"\s*(x\d+|\^|\d+/\d+|\d+|[+\-*/()])?", re.ASCII)
 
 
 def _tokenize(s):
@@ -1559,11 +1546,10 @@ def _tokenize(s):
     pos = 0
     while pos < len(s):
         m = _TOKEN.match(s, pos)
-        if not m:
-            rest = s[pos:].lstrip()
-            if rest:
-                raise ParseError("unexpected character %r" % rest[0],
-                                 len(s) - len(rest))
+        if m.group(1) is None:
+            if m.end() < len(s):
+                raise ParseError("unexpected character %r" % s[m.end()],
+                                 m.end())
             break
         tokens.append((m.group(1), m.start(1)))
         pos = m.end()
@@ -1693,6 +1679,9 @@ class _Parser:
             if not tok2.startswith("x"):
                 raise ParseError("expected a variable after '-'", pos2)
             b = self.var_index(tok2, pos2)
+            if b == a:
+                raise ParseError("zero denominator form %s-%s" % (tok, tok2),
+                                 pos)
         return a, b
 
     def parse(self):
@@ -1745,8 +1734,6 @@ class _Parser:
             if b and b > a:
                 a, b = b, a
                 sign = -sign
-            if a == b:
-                raise ParseError("zero denominator form")
             den.append(linear_form(a, b, arity))
         if sign != 1:
             num = num.scale(sign)

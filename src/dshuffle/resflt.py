@@ -16,27 +16,6 @@ from .series import (ihara_action_component, ihara_bracket_component,
 from .dsh_check import EquationReport
 
 
-class FiltrationDegree:
-    """Filtration level, or the error state when the depth bound is hit."""
-
-    __slots__ = ("k", "exceeds_depth")
-
-    def __init__(self, k=None, exceeds_depth=False):
-        self.k = k
-        self.exceeds_depth = exceeds_depth
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return not self.exceeds_depth and self.k == other
-        if isinstance(other, FiltrationDegree):
-            return ((self.k, self.exceeds_depth)
-                    == (other.k, other.exceeds_depth))
-        return NotImplemented
-
-    def __repr__(self):
-        return "exceeds depth" if self.exceeds_depth else str(self.k)
-
-
 def R(f):
     """Residue at x_r = 0 as a function of x_1..x_(r-1); at depth 1 a
     double pole gives the coefficient of x1^(-2) instead."""
@@ -59,15 +38,12 @@ def iterated_R(f, m):
 
 
 def filtration_degree(f):
-    """Least k with the (k+1)-fold iterate equal to zero."""
-    r = f.arity
-    g = f
-    for k in range(0, r + 1):
-        g_next = R(g)
-        if g_next.is_zero():
-            return FiltrationDegree(k)
-        g = g_next
-    return FiltrationDegree(exceeds_depth=True)
+    """Least k with the (k+1)-fold iterate equal to zero.  It is at most
+    f.arity: the arity-0 iterate is a constant, which R sends to zero."""
+    k, g = 0, R(f)
+    while not g.is_zero():
+        k, g = k + 1, R(g)
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -123,16 +99,6 @@ def total_residue(xi):
         out[d] = R(comp)
     return out
 
-
-def in_kernel(xi):
-    """True when every per-depth residue vanishes (all components are
-    polynomial, by the cyclic pole structure)."""
-    return all(v.is_zero() for v in total_residue(xi).values())
-
-
-def kernel_reports(xi):
-    return [EquationReport.from_residual("total_residue", (d,), res)
-            for d, res in sorted(total_residue(xi).items())]
 
 
 # ---------------------------------------------------------------------------

@@ -424,11 +424,6 @@ def tau(f):
     return out if r % 2 == 0 else -out
 
 
-def cyclic_rotate(f):
-    """tau o sigma, the signed cyclic rotation of order r+1 on y-labels."""
-    return tau(sigma(f))
-
-
 def dihedral_bracket(f, g):
     """Ihara bracket computed by summing over cyclic label rotations.
 

@@ -4,17 +4,13 @@ A word is a tuple of variable indices.  Stuffle expansion produces terms
 whose letters are either a single index or a merged pair, kept symbolic
 here as a sorted 2-tuple; they are interpreted as divided differences only
 by the equation checkers, so this module never touches rational functions.
-
-Term ordering is plain lexicographic on letter sequences (merged pairs
-compare as tuples), which keeps every printed expansion reproducible.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 
-from .rationals import QQ, ZERO, rat_str
+from .rationals import QQ, ZERO
 
 
 class OverlappingIndices(ValueError):
@@ -24,26 +20,6 @@ class OverlappingIndices(ValueError):
 def _check_disjoint(u, v):
     if set(u) & set(v):
         raise OverlappingIndices("words share indices: %r, %r" % (u, v))
-
-
-def word_text(w):
-    return ".".join("{%d,%d}" % l if isinstance(l, tuple) else "x%d" % l
-                    for l in w) or "1"
-
-
-def term_key(w):
-    return tuple((1,) + l if isinstance(l, tuple) else (0, l) for l in w)
-
-
-def sum_text(terms):
-    if not terms:
-        return "0"
-    parts = []
-    for w in sorted(terms, key=term_key):
-        c = terms[w]
-        parts.append("%s*%s" % (rat_str(c), word_text(w)) if c != 1
-                     else word_text(w))
-    return " + ".join(parts)
 
 
 def _add_term(acc, w, c):
@@ -119,37 +95,3 @@ def lie_projector(w):
     if not w:
         raise ValueError("lie projector of the empty word")
     return dict(_lie_projector(w))
-
-
-def apply_lie_projector(terms):
-    """Extend the projector linearly to a word sum."""
-    out = {}
-    for w, c in terms.items():
-        for ww, cc in _lie_projector(tuple(w)).items():
-            _add_term(out, ww, c * cc)
-    return out
-
-
-def shuffle_count(m, n):
-    """Number of interleavings of words of lengths m and n."""
-    return comb(m + n, m)
-
-
-def stuffle_count(m, n):
-    """Number of stuffle terms for word lengths m and n."""
-    if m == 0 or n == 0:
-        return 1
-    return (stuffle_count(m - 1, n) + stuffle_count(m, n - 1)
-            + stuffle_count(m - 1, n - 1))
-
-
-def scale_sum(terms, c):
-    c = QQ(c)
-    return {w: c * v for w, v in terms.items()} if c != 0 else {}
-
-
-def add_sums(a, b):
-    out = dict(a)
-    for w, c in b.items():
-        _add_term(out, w, c)
-    return out

@@ -10,20 +10,32 @@ residue exponent, and one sigma_9 / one mod-7 coefficient).
 import pytest
 
 from dshuffle.rationals import QQ
-from dshuffle.ratfun import Polynomial, RationalFunction, parse
-from dshuffle.series import (dihedral_bracket, ihara_action_component,
-                             ihara_bracket_component, series_ihara_bracket,
-                             shuffle_concat, stuffle_concat)
+from dshuffle.ratfun import (Polynomial, RationalFunction, linear_form,
+                             parse, rf_sum_a, var_vector)
+from dshuffle.series import (DepthSeries, dihedral_bracket,
+                             ihara_action_component, ihara_bracket_component,
+                             plus_truncate, series_ihara_bracket,
+                             series_stuffle, shuffle_concat, stuffle_concat,
+                             stuffle_exp)
 from dshuffle.dsh_check import (all_pass, check_lambda_form,
-                                check_linearized, check_six_term,
-                                is_in_pdmr, is_in_pls)
-from dshuffle.gens import (Q4, chi, psi_minus_one, psi_odd, psi_zero, s_d,
-                           z3)
-from dshuffle.resflt import (R, highest_weight_h, res_nabla,
-                             residue_structure_check, sl2_f)
+                                check_linearized, check_shuffle,
+                                check_six_term, check_stuffle, is_in_pdmr,
+                                is_in_pls)
+from dshuffle.gens import (P_series, Q4, Q_series, c_n, c_tilde, chi,
+                           enumerate_vines, lift_ell, lift_tilde, mu_minus,
+                           mu_plus, nu_series, psi_minus_one, psi_odd,
+                           psi_odd_component, psi_pieces_ABC, psi_pieces_DEF,
+                           psi_zero, s_d, s_vineyard, series_tau,
+                           star_conjugate, vine_rat, vineyard_realize, z3)
+from dshuffle.resflt import (R, filtration_degree, h3, h4, highest_weight_h,
+                             multi_residue_check, res_nabla,
+                             res_nabla_commute, res_of_action,
+                             res_of_stuffle, residue_structure_check, sl2_e,
+                             sl2_f, total_residue)
 from dshuffle.modforms import (bracket_kernel_ls2, c2_space,
                                dimension_series, exceptional_e,
-                               ls_dimension, period_space)
+                               lie3_dimensions, ls_dimension,
+                               p_even_generator, period_space, pi2)
 from dshuffle.anatomy import (chi_q4_decomposition, coefficient_of_word,
                               evaluate, solve_sigma)
 
@@ -264,7 +276,6 @@ class TestCriterion14PropertySuites:
             g = random_rf(rng, 1, 1, 1, terms=2)
             h = random_rf(rng, 2, 1, 1, terms=2)
             n = 4
-            from dshuffle.ratfun import rf_sum_a
             lhs = ihara_action_component(f, shuffle_concat(g, h))
             rhs = rf_sum_a(n, [
                 shuffle_concat(ihara_action_component(f, g), h),
@@ -288,7 +299,6 @@ class TestCriterion14PropertySuites:
         report("14: dihedral bracket equals general bracket", ok)
 
     def test_lambda_equivalence(self):
-        from dshuffle.gens import c_n
         cases = [c_n(3), psi_odd(1, 3).component(3),
                  parse("x1^2x2^1x3^1", 3), z3()]
         ok = True
@@ -309,3 +319,207 @@ class TestCriterion14PropertySuites:
         br2 = series_ihara_bracket(psi_minus_one(4), psi_odd(1, 4))
         ok = all_pass(is_in_pdmr(br1, 4)) and all_pass(is_in_pdmr(br2, 4))
         report("14: bracket closure of double shuffle solutions", ok)
+
+
+class TestCriterion15PsiPieces:
+    def test_piece_regroupings(self):
+        ok = True
+        for n in (1, 2):
+            for d in (1, 2, 3, 4):
+                A, B, C = psi_pieces_ABC(n, d)
+                D, E, F = psi_pieces_DEF(n, d)
+                psi = psi_odd_component(n, d)
+                ok = ok and (A + B + C).scale(QQ(1, 2)).equals(psi) \
+                    and (D + E + F).scale(QQ(1, 2)).equals(psi)
+        report("15: psi = (A+B+C)/2 = (D+E+F)/2 to depth 4", ok)
+
+    def test_A_is_lift(self):
+        lt = lift_tilde(mono(4), 4)
+        ok = all(psi_pieces_ABC(2, d)[0].equals(lt.component(d))
+                 for d in (1, 2, 3, 4))
+        report("15: A = interval-partition lift of x1^(2n)", ok)
+
+    def test_B_is_star_conjugate_of_tau_A(self):
+        B_star = star_conjugate(series_tau(lift_tilde(mono(2), 4)), 4)
+        ok = all(B_star.component(d).equals(psi_pieces_ABC(1, d)[1])
+                 for d in (1, 2, 3, 4))
+        report("15: B = star conjugate of tau(A)", ok)
+
+    def test_DEF_pieces_satisfy_shuffle(self):
+        ok = all(check_shuffle(piece, p, d - p).passed
+                 for d in (2, 3) for piece in psi_pieces_DEF(1, d)
+                 for p in range(1, d // 2 + 1))
+        report("15: D, E, F each satisfy shuffle", ok)
+
+
+class TestCriterion16Vines:
+    def test_primitive_vineyards_give_shuffle_solutions(self):
+        ok = True
+        for n in (2, 3, 4, 5):
+            f = vineyard_realize({v.composition: QQ((-1) ** v.height,
+                                                    v.height)
+                                  for v in enumerate_vines(n)})
+            ok = ok and all(check_shuffle(f, p, n - p).passed
+                            for p in range(1, n // 2 + 1))
+        report("16: log-type vineyards realize shuffle solutions", ok)
+
+    def test_realization_matches_s_d(self):
+        ok = all(vineyard_realize(s_vineyard(n)).equals(s_d(n))
+                 for n in (1, 2, 3, 4))
+        report("16: realized primitive vineyard s_n = s_d(n)", ok)
+
+    def test_alternating_height_decomposition(self):
+        acc = DepthSeries.zero(4)
+        for n in range(1, 5):
+            acc = acc + P_series(n, 4).scale(QQ((-1) ** (n + 1), n))
+        report("16: psi_-1 = sum (-1)^(n+1)/n P_n",
+               psi_minus_one(4).equals(acc))
+
+    def test_Q_is_restriction_of_P(self):
+        # independent recount: the vines of height n starting with g_1
+        ok = True
+        for n in (1, 2):
+            for d in (n, n + 1, n + 2):
+                expect = rf_sum_a(d, [
+                    vine_rat(v).divide_form_exact(linear_form(d, 0, d))
+                    for v in enumerate_vines(d)
+                    if v.height == n and v.composition[0] == 1])
+                ok = ok and Q_series(n, d).component(d).equals(expect)
+        report("16: Q_n = P_n restricted to vines g_1 w", ok)
+
+    def test_c_tilde_telescoping(self):
+        one = DepthSeries.unit(5)
+        ok = all(series_stuffle(c_tilde(n, 5), one - mu_minus(5)).equals(
+                     Q_series(n, 5) + Q_series(n + 1, 5))
+                 for n in (1, 2, 3))
+        report("16: c~_n stuffle (1 - mu_-) = Q_n + Q_(n+1)", ok)
+
+
+class TestCriterion17LiftsAndConjugation:
+    def test_lifts_of_stuffle_solutions(self):
+        # the interval-partition lift of c_2 and the marked lift of x1^2
+        tilde, ell = lift_tilde(c_n(2), 4), lift_ell(mono(2), 4)
+        ok = all(check_stuffle(tilde, p, q).passed
+                 for p, q in [(1, 2), (1, 3), (2, 2)])
+        ok = ok and all(check_stuffle(ell, p, q).passed
+                        for p, q in [(1, 1), (1, 2), (1, 3), (2, 2)])
+        report("17: lifts of stuffle solutions solve stuffle", ok)
+
+    def test_ell_of_inverse_is_nu(self):
+        report("17: ell(x^-1) = nu",
+               lift_ell(mono(-1), 4).equals(nu_series(4)))
+
+    def test_exp_star(self):
+        one = DepthSeries.unit(4)
+        report("17: exp_*(nu) = 1 + mu_+",
+               stuffle_exp(nu_series(4), 4).equals(one + mu_plus(4)))
+
+    def test_star_conjugation_preserves_stuffle(self):
+        conj = star_conjugate(lift_tilde(mono(2), 4), 4)
+        ok = all(check_stuffle(conj, p, q).passed
+                 for p, q in [(1, 1), (1, 2), (1, 3), (2, 2)])
+        report("17: star conjugation preserves stuffle", ok)
+
+
+class TestCriterion18ResidueFiltration:
+    def test_filtration_degrees(self):
+        # two weight -1 generators push the level to two at most
+        inner = ihara_bracket_component(mono(-2), mono(8))
+        ok = (filtration_degree(mono(4)) == 0
+              and filtration_degree(mono(-2)) == 1
+              and filtration_degree(
+                  ihara_bracket_component(mono(-2), mono(4))) == 1
+              and filtration_degree(
+                  ihara_bracket_component(mono(-2), inner)) <= 2)
+        report("18: filtration degrees, additive on brackets", ok)
+
+    def test_res_of_action(self):
+        f = ihara_bracket_component(mono(2), mono(4))
+        g = ihara_bracket_component(mono(-2), mono(2))
+        report("18: Res(f o g) = f o Res g - Res g * f",
+               res_of_action(f, g).passed)
+
+    def test_res_of_stuffle(self):
+        f = ihara_bracket_component(mono(2), mono(4))
+        g = ihara_bracket_component(mono(-2), mono(4))
+        report("18: Res(f * g) = f * Res g (stuffle)",
+               res_of_stuffle(f, g).passed)
+
+    def test_res_nabla_commute(self):
+        f = ihara_bracket_component(mono(-2), mono(6))
+        report("18: Res nabla = nabla Res", res_nabla_commute(f).passed)
+
+    def test_total_residue_kernel(self):
+        def in_kernel(xi):
+            return all(v.is_zero() for v in total_residue(xi).values())
+
+        ok = (in_kernel(plus_truncate(evaluate(solve_sigma(5, 4), 4)))
+              and in_kernel(plus_truncate(psi_odd(1, 4)))
+              and not in_kernel(plus_truncate(psi_odd(3, 4))))
+        report("18: sigma_5+, psi_3+ in ker Res; psi_7+ not", ok)
+
+    def test_multi_residue(self):
+        psi3 = psi_odd(1, 4)
+        ok = (multi_residue_check(psi3.component(4), psi3.component(3),
+                                  3, 1).passed
+              and multi_residue_check(psi3.component(4), psi3.component(2),
+                                      4, 1).passed)
+        report("18: two-index residue factorization of psi_3", ok)
+
+
+class TestCriterion19Sl2Raising:
+    def test_h4_and_h3_are_highest_weight(self):
+        report("19: h4 and h3 are highest weight",
+               sl2_f(h4(2, 10)).is_zero() and sl2_f(h3(2, 2, 6)).is_zero())
+
+    def test_e_raises_filtration(self):
+        report("19: raising operator lifts filtration 0 to 1",
+               filtration_degree(sl2_e(mono(4))) == 1)
+
+
+class TestCriterion20PeriodPolynomials:
+    def test_residue_of_h_is_pi2(self):
+        # the depth-3 highest weight vectors project onto the cyclic space
+        ok = True
+        for (a, b) in ((1, 2), (2, 3)):
+            lhs = R(ihara_bracket_component(
+                mono(2 * a),
+                ihara_bracket_component(mono(-2), mono(2 * b)))
+                .scale(QQ(1, 2 * b)))
+            rhs = pi2(RationalFunction.from_poly(
+                Polynomial(2, {(2 * a, 2 * b - 1): QQ(1)})))
+            ok = ok and (lhs.equals(rhs) or lhs.equals(-rhs))
+        report("20: R of depth-3 h_(a,b) = +-pi2 of a monomial", ok)
+
+    def test_p_even_generator(self):
+        # x^(w-2) - y^(w-2) satisfies both defining relations, and the
+        # exceptional construction refuses it
+        ok = True
+        for w in (10, 12):
+            f = RationalFunction.from_poly(p_even_generator(w))
+            swap = f.substitute_affine([var_vector(2, 2), var_vector(2, 1)],
+                                       2)
+            sub1 = f.substitute_affine([(0, 1, -1), (0, 1, 0)], 2)
+            sub2 = f.substitute_affine([(0, 0, -1), (0, 1, -1)], 2)
+            ok = ok and (f + swap).is_zero() \
+                and (f + sub1 + sub2).is_zero()
+        try:
+            exceptional_e(p_even_generator(12))
+            ok = False
+        except ValueError:
+            pass
+        report("20: x^(w-2) - y^(w-2) is a period, not exceptional", ok)
+
+    def test_ls3_from_exact_sequence(self):
+        # depth-3 dims = free Lie triple count minus cusp x depth-1 count
+        ls1 = dimension_series("ls1", 17)
+        cusp = dimension_series("cusp", 17)
+        lie3 = lie3_dimensions(ls1, 17)
+        tensor = [0] * 18
+        for a in range(18):
+            for b in range(18 - a):
+                tensor[a + b] += cusp[a] * ls1[b]
+        ok = (lie3[15] - tensor[15], lie3[17] - tensor[17]) == (2, 4)
+        ok = ok and all(ls_dimension(3, w) == lie3[w] - tensor[w]
+                        for w in (9, 11, 13, 15, 17))
+        report("20: dim ls3 = Lie3(ls1) - cusp x ls1, w = 9..17", ok)

@@ -388,6 +388,21 @@ class TestContract:
             assert_usage_error(code, out, err)
             assert "s_d needs d <= 8" in err
 
+    def test_psi_and_vines_above_the_bound(self, capsys):
+        # psi_(2n+1) and psi_-1 past depth 8 and vines past 8 grapes are
+        # refused at the s_d bound, before any component is built
+        for argv, family in (
+                (("gen", "psi", "--weight", "3", "--depth", "9"), "psi_3"),
+                (("verify", "--gen", "psi3", "--max-depth", "9"), "psi_3"),
+                (("bracket", "--f", "psi-1", "--g", "psi3",
+                  "--max-depth", "9"), "psi_-1"),
+                (("gen", "vine", "--n", "9"), "a vine list")):
+            start = time.perf_counter()
+            code, out, err = invoke(capsys, *argv)
+            assert time.perf_counter() - start < 1
+            assert_usage_error(code, out, err)
+            assert "%s needs" % family in err and "<= 8" in err
+
     def test_chi_above_the_bound(self, capsys):
         # the twist past depth 7 is refused before any bracket is built
         for argv in (("gen", "chi", "--weight", "3", "--depth", "8"),
@@ -487,7 +502,7 @@ class TestParsing:
         f = parse("1/(x1*(x2-x1))")
         assert emit(f, "text") == f.text()
         blob = emit(f, "json")
-        assert RationalFunction.from_json(blob).equals(f)
+        assert RationalFunction.from_json_dict(json.loads(blob)).equals(f)
 
 
 def golden_corpus():

@@ -10,8 +10,7 @@ from dshuffle.ratfun import (Polynomial, RationalFunction, coefficient_rows,
 from dshuffle.modforms import (_MINUS_U, _SWAP, _U, _U2,
                                bracket_kernel_ls2, c2_space,
                                dimension_series, exceptional_e,
-                               lie3_dimensions, lin_ds_nullspace,
-                               ls_dimension, p_even_generator, period_space,
+                               lin_ds_nullspace, ls_dimension, period_space,
                                pi2)
 from dshuffle.dsh_check import all_pass, is_in_pls
 from dshuffle.series import ihara_bracket_component
@@ -81,18 +80,6 @@ class TestPeriodSpaces:
             break
         assert b.scale(ratio) == S12
 
-    def test_p_2n_in_full_even_space(self):
-        # x^(2n-2) - y^(2n-2) satisfies both defining relations
-        for w in (10, 12):
-            p = p_even_generator(w)
-            f = RationalFunction.from_poly(p)
-            from dshuffle.ratfun import var_vector
-            swap = f.substitute_affine([var_vector(2, 2), var_vector(2, 1)], 2)
-            assert (f + swap).is_zero()
-            sub1 = f.substitute_affine([(0, 1, -1), (0, 1, 0)], 2)
-            sub2 = f.substitute_affine([(0, 0, -1), (0, 1, -1)], 2)
-            assert (f + sub1 + sub2).is_zero()
-
 
 class TestExceptional:
     def test_divisibility(self):
@@ -128,10 +115,6 @@ class TestExceptional:
         assert b.arity == 5 and b.degree() == 10
         assert all_pass(is_in_pls(b))
 
-    def test_rejects_nonvanishing_input(self):
-        with pytest.raises(ValueError):
-            exceptional_e(p_even_generator(12))
-
     def test_ls4_weight12_is_the_exceptional_element(self):
         # the solver's kernel basis is the element of the weight-12 cusp
         # form, term for term and coefficient for coefficient
@@ -166,19 +149,6 @@ class TestNullspaces:
             assert check_linearized(b, 1, 1, sharp=False).passed
             assert check_linearized(b, 1, 1, sharp=True).passed
 
-    def test_ls3_from_exact_sequence(self):
-        # depth-3 dims = free Lie triple count minus cusp x depth-1 count
-        ls1 = dimension_series("ls1", 17)
-        cusp = dimension_series("cusp", 17)
-        lie3 = lie3_dimensions(ls1, 17)
-        tensor = [0] * 18
-        for a in range(18):
-            for b in range(18 - a):
-                tensor[a + b] += cusp[a] * ls1[b]
-        assert (lie3[15] - tensor[15], lie3[17] - tensor[17]) == (2, 4)
-        for w in (9, 11, 13, 15, 17):
-            assert ls_dimension(3, w) == lie3[w] - tensor[w]
-
 
 class TestBracketKernel:
     def test_matches_cusp_dimensions(self):
@@ -212,18 +182,6 @@ class TestC2:
     def test_pi2_scaled_idempotent(self):
         f = RationalFunction.from_poly(Polynomial(2, {(4, 1): QQ(1)}))
         assert pi2(pi2(f)).equals(pi2(f).scale(3))
-
-    def test_residue_of_h_is_pi2(self):
-        # the depth-3 highest weight vectors project onto the cyclic space
-        from dshuffle.resflt import R, highest_weight_h
-        for (a, b) in ((1, 2), (2, 3)):
-            lhs = R(ihara_bracket_component(
-                mono(2 * a),
-                ihara_bracket_component(mono(-2), mono(2 * b)))
-                .scale(QQ(1, 2 * b)))
-            rhs = pi2(RationalFunction.from_poly(
-                Polynomial(2, {(2 * a, 2 * b - 1): QQ(1)})))
-            assert lhs.equals(rhs) or lhs.equals(-rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,9 @@ from dshuffle.ratfun import (PoleOrderError, RationalFunction, linear_form,
                              parse)
 from dshuffle.series import (ihara_bracket_component, plus_truncate,
                              series_ihara_bracket)
-from dshuffle.resflt import (FiltrationDegree, R, filtration_degree, h3, h4,
-                             highest_weight_h, in_kernel, iterated_R,
-                             kernel_reports, multi_residue_check, res_nabla,
-                             res_nabla_commute, res_of_action,
-                             res_of_stuffle, residue_structure_check, sl2_e,
-                             sl2_f, total_residue)
+from dshuffle.resflt import (R, highest_weight_h, iterated_R, res_nabla,
+                             residue_structure_check, sl2_e, sl2_f,
+                             total_residue)
 from dshuffle.gens import psi_minus_one, psi_odd, psi_odd_component, z3
 from dshuffle.anatomy import evaluate, solve_sigma
 
@@ -38,30 +35,6 @@ class TestR:
         expect = mono(4).nabla().scale(-1).nabla().scale(-1)
         assert iterated_R(g, 2).equals(expect)
 
-    def test_filtration_degrees(self):
-        assert filtration_degree(mono(4)) == 0
-        assert filtration_degree(mono(-2)) == 1
-        br = ihara_bracket_component(mono(-2), mono(4))
-        assert filtration_degree(br) == 1
-
-    def test_filtration_additive_on_brackets(self):
-        # two weight -1 generators push the level to two
-        inner = ihara_bracket_component(mono(-2), mono(8))
-        outer = ihara_bracket_component(mono(-2), inner)
-        deg = filtration_degree(outer)
-        assert not deg.exceeds_depth and deg.k <= 2
-
-    def test_degree_repr(self):
-        assert repr(FiltrationDegree(2)) == "2"
-        assert repr(FiltrationDegree(exceeds_depth=True)) == "exceeds depth"
-
-    def test_degree_equality(self):
-        assert FiltrationDegree(1) == 1
-        assert FiltrationDegree(1) == FiltrationDegree(1)
-        assert FiltrationDegree(1) != FiltrationDegree(exceeds_depth=True)
-        assert FiltrationDegree(1) != "a"
-        assert not FiltrationDegree(1) == None  # noqa: E711
-
 
 class TestResidueCalculus:
     def test_res_nabla_small(self):
@@ -76,36 +49,8 @@ class TestResidueCalculus:
                 continue
             assert res_nabla(f).passed
 
-    def test_res_of_stuffle(self):
-        f = ihara_bracket_component(mono(2), mono(4))
-        g = ihara_bracket_component(mono(-2), mono(4))
-        assert res_of_stuffle(f, g).passed
-
-    def test_res_of_action(self):
-        f = ihara_bracket_component(mono(2), mono(4))
-        g = ihara_bracket_component(mono(-2), mono(2))
-        assert res_of_action(f, g).passed
-
-    def test_res_nabla_commute(self):
-        f = ihara_bracket_component(mono(-2), mono(6))
-        assert res_nabla_commute(f).passed
-
 
 class TestTotalResidue:
-    def test_sigma5_in_kernel(self):
-        expr = solve_sigma(5, 4)
-        xi = plus_truncate(evaluate(expr, 4))
-        assert in_kernel(xi)
-        assert all(r.passed for r in kernel_reports(xi))
-
-    def test_psi3_plus_in_kernel(self):
-        xi = plus_truncate(psi_odd(1, 4))
-        assert in_kernel(xi)
-
-    def test_psi7_plus_not_in_kernel(self):
-        xi = plus_truncate(psi_odd(3, 4))
-        assert not in_kernel(xi)
-
     def test_kernel_iff_polynomial(self):
         xi = plus_truncate(psi_odd(3, 4))
         res = total_residue(xi)
@@ -142,10 +87,6 @@ class TestSl2:
         g = sl2_e(sl2_e(mono(4)))
         assert sl2_f(R(g)).equals(R(sl2_f(g)))
 
-    def test_e_raises_filtration(self):
-        f = mono(4)
-        assert filtration_degree(sl2_e(f)) == 1
-
     def test_lowering_via_cyclic_rotations_even_weight(self):
         # cross-check on even-weight elements with the restricted pole
         # shape: rotate the top residue around the cyclic labels
@@ -154,10 +95,6 @@ class TestSl2:
                   sl2_e(ihara_bracket_component(mono(2), mono(6))),
                   highest_weight_h(1, 2)):
             assert sl2_f(g).equals(sl2_f_via_rotations(g))
-
-    def test_h4_and_h3_are_highest_weight(self):
-        assert sl2_f(h4(2, 10)).is_zero()
-        assert sl2_f(h3(2, 2, 6)).is_zero()
 
 
 class TestResidueStructure:
@@ -177,13 +114,6 @@ class TestResidueStructure:
         br = series_ihara_bracket(psi_minus_one(4), psi_odd(1, 4))
         for i in (1, 2, 3):
             assert residue_structure_check(br, 4, i).passed
-
-    def test_multi_residue(self):
-        psi3 = psi_odd(1, 4)
-        rep = multi_residue_check(psi3.component(4), psi3.component(3), 3, 1)
-        assert rep.passed
-        rep = multi_residue_check(psi3.component(4), psi3.component(2), 4, 1)
-        assert rep.passed
 
     def test_cyclic_pole_theorem_on_solved_sigma(self):
         # once lower depths are polynomial, the first polar depth has poles

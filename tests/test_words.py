@@ -1,11 +1,18 @@
+from math import comb
+
 import pytest
 
-from dshuffle.rationals import QQ
-from dshuffle.words import (OverlappingIndices, add_sums,
-                            apply_lie_projector, iter_shuffles,
-                            lie_projector, scale_sum, shuffle,
-                            shuffle_count, stuffle, stuffle_count, sum_text,
-                            word_text)
+from dshuffle.words import (OverlappingIndices, iter_shuffles,
+                            lie_projector, shuffle, stuffle)
+
+
+def apply_lie_projector(terms):
+    """The projector extended linearly to a word sum."""
+    out = {}
+    for w, c in terms.items():
+        for ww, cc in lie_projector(w).items():
+            out[ww] = out.get(ww, 0) + c * cc
+    return {w: c for w, c in out.items() if c != 0}
 
 
 class TestShuffle:
@@ -24,7 +31,7 @@ class TestShuffle:
             u = tuple(range(1, m + 1))
             v = tuple(range(m + 1, m + n + 1))
             got = shuffle(u, v)
-            assert len(got) == shuffle_count(m, n)
+            assert len(got) == comb(m + n, m)
             assert all(c == 1 for c in got.values())
 
     def test_lazy_enumeration_matches(self):
@@ -58,7 +65,6 @@ class TestStuffle:
 
         for m in range(5):
             for n in range(5):
-                assert stuffle_count(m, n) == count(m, n)
                 if m and n:
                     u = tuple(range(1, m + 1))
                     v = tuple(range(m + 1, m + n + 1))
@@ -89,19 +95,10 @@ class TestLieProjector:
         for n in range(1, 6):
             w = tuple(range(1, n + 1))
             lam = lie_projector(w)
-            assert apply_lie_projector(lam) == scale_sum(lam, n)
+            assert apply_lie_projector(lam) == {w: n * c
+                                                for w, c in lam.items()}
 
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
             lie_projector(())
 
-
-class TestText:
-    def test_word_and_sum_text(self):
-        assert word_text((1, (1, 2))) == "x1.{1,2}"
-        assert sum_text(shuffle((1,), (2,))) == "x1.x2 + x2.x1"
-
-    def test_add_and_scale(self):
-        a = {(1, 2): QQ(1)}
-        b = {(1, 2): QQ(-1), (2, 1): QQ(2)}
-        assert add_sums(a, b) == {(2, 1): QQ(2)}
