@@ -396,14 +396,17 @@ class TestCriterion16Vines:
 
 
 class TestCriterion17LiftsAndConjugation:
-    def test_lifts_of_stuffle_solutions(self):
-        # the interval-partition lift of c_2 and the marked lift of x1^2
-        tilde, ell = lift_tilde(c_n(2), 4), lift_ell(mono(2), 4)
+    def test_tilde_of_stuffle_solution_is_stuffle_solution(self):
+        tilde = lift_tilde(c_n(2), 4)
         ok = all(check_stuffle(tilde, p, q).passed
                  for p, q in [(1, 2), (1, 3), (2, 2)])
-        ok = ok and all(check_stuffle(ell, p, q).passed
-                        for p, q in [(1, 1), (1, 2), (1, 3), (2, 2)])
-        report("17: lifts of stuffle solutions solve stuffle", ok)
+        report("17: interval-partition lift of c_2 solves stuffle", ok)
+
+    def test_ell_is_stuffle_solution(self):
+        ell = lift_ell(mono(2), 4)
+        ok = all(check_stuffle(ell, p, q).passed
+                 for p, q in [(1, 1), (1, 2), (1, 3), (2, 2)])
+        report("17: marked lift of x1^2 solves stuffle", ok)
 
     def test_ell_of_inverse_is_nu(self):
         report("17: ell(x^-1) = nu",
@@ -423,15 +426,18 @@ class TestCriterion17LiftsAndConjugation:
 
 class TestCriterion18ResidueFiltration:
     def test_filtration_degrees(self):
-        # two weight -1 generators push the level to two at most
-        inner = ihara_bracket_component(mono(-2), mono(8))
         ok = (filtration_degree(mono(4)) == 0
               and filtration_degree(mono(-2)) == 1
               and filtration_degree(
-                  ihara_bracket_component(mono(-2), mono(4))) == 1
-              and filtration_degree(
-                  ihara_bracket_component(mono(-2), inner)) <= 2)
-        report("18: filtration degrees, additive on brackets", ok)
+                  ihara_bracket_component(mono(-2), mono(4))) == 1)
+        report("18: filtration degrees of x^4, x^-2, [x^-2, x^4]", ok)
+
+    def test_filtration_additive_on_brackets(self):
+        # two weight -1 generators push the level to two at most
+        inner = ihara_bracket_component(mono(-2), mono(8))
+        report("18: filtration additive on brackets",
+               filtration_degree(
+                   ihara_bracket_component(mono(-2), inner)) <= 2)
 
     def test_res_of_action(self):
         f = ihara_bracket_component(mono(2), mono(4))
@@ -449,14 +455,21 @@ class TestCriterion18ResidueFiltration:
         f = ihara_bracket_component(mono(-2), mono(6))
         report("18: Res nabla = nabla Res", res_nabla_commute(f).passed)
 
-    def test_total_residue_kernel(self):
-        def in_kernel(xi):
-            return all(v.is_zero() for v in total_residue(xi).values())
+    @staticmethod
+    def in_kernel(xi):
+        return all(v.is_zero() for v in total_residue(xi).values())
 
-        ok = (in_kernel(plus_truncate(evaluate(solve_sigma(5, 4), 4)))
-              and in_kernel(plus_truncate(psi_odd(1, 4)))
-              and not in_kernel(plus_truncate(psi_odd(3, 4))))
-        report("18: sigma_5+, psi_3+ in ker Res; psi_7+ not", ok)
+    def test_sigma5_in_kernel(self):
+        xi = plus_truncate(evaluate(solve_sigma(5, 4), 4))
+        report("18: sigma_5+ in ker Res", self.in_kernel(xi))
+
+    def test_psi3_plus_in_kernel(self):
+        report("18: psi_3+ in ker Res",
+               self.in_kernel(plus_truncate(psi_odd(1, 4))))
+
+    def test_psi7_plus_not_in_kernel(self):
+        report("18: psi_7+ not in ker Res",
+               not self.in_kernel(plus_truncate(psi_odd(3, 4))))
 
     def test_multi_residue(self):
         psi3 = psi_odd(1, 4)
@@ -491,9 +504,8 @@ class TestCriterion20PeriodPolynomials:
             ok = ok and (lhs.equals(rhs) or lhs.equals(-rhs))
         report("20: R of depth-3 h_(a,b) = +-pi2 of a monomial", ok)
 
-    def test_p_even_generator(self):
-        # x^(w-2) - y^(w-2) satisfies both defining relations, and the
-        # exceptional construction refuses it
+    def test_p_2n_in_full_even_space(self):
+        # x^(w-2) - y^(w-2) satisfies both defining relations
         ok = True
         for w in (10, 12):
             f = RationalFunction.from_poly(p_even_generator(w))
@@ -503,12 +515,16 @@ class TestCriterion20PeriodPolynomials:
             sub2 = f.substitute_affine([(0, 0, -1), (0, 1, -1)], 2)
             ok = ok and (f + swap).is_zero() \
                 and (f + sub1 + sub2).is_zero()
+        report("20: x^(w-2) - y^(w-2) is a period, w = 10, 12", ok)
+
+    def test_rejects_nonvanishing_input(self):
+        # the exceptional construction refuses x^10 - y^10
         try:
             exceptional_e(p_even_generator(12))
             ok = False
         except ValueError:
-            pass
-        report("20: x^(w-2) - y^(w-2) is a period, not exceptional", ok)
+            ok = True
+        report("20: x^10 - y^10 has no exceptional element", ok)
 
     def test_ls3_from_exact_sequence(self):
         # depth-3 dims = free Lie triple count minus cusp x depth-1 count
