@@ -16,7 +16,7 @@ from itertools import product
 from .rationals import QQ
 from .ratfun import (Polynomial, RationalFunction, diff_vector, linear_form,
                      rf_sum_a, var_vector)
-from .series import (DepthSeries, cyclic_sum, ihara_bracket_component,
+from .series import (DepthSeries, cyclic_sum, ihara_action_component,
                      series_stuffle, tau)
 
 
@@ -155,12 +155,6 @@ class Vine:
                 out.append((stalk, label))
             stalk = label
         return out
-
-    def __eq__(self, other):
-        return isinstance(other, Vine) and self.composition == other.composition
-
-    def __hash__(self):
-        return hash(self.composition)
 
     def __repr__(self):
         return "Vine(%s)" % "".join("g%d" % i for i in self.composition)
@@ -400,7 +394,7 @@ def series_tau(f):
 
 # The twist's depth-d component is a sum of brackets with the psi_0
 # components, and its cost grows much faster than d: gen chi --weight 3
-# --depth 7 takes 15-17 s and prints 3.9 MB on a 2-vCPU host, and depth 8
+# --depth 7 takes 12-13 s and prints 3.9 MB on a 2-vCPU host, and depth 8
 # does not finish in 60 s.  The bound follows from that cost; the s_d bound
 # alone would stop the twist only from depth 10 on.
 CHI_MAX_DEPTH = 7
@@ -416,8 +410,12 @@ def twist_by_psi0(alpha, max_depth):
     psi0 = [psi_zero_component(i) for i in range(1, max_depth - d0 + 1)]
     comps = {d0: alpha}
     for k in range(1, max_depth - d0 + 1):
-        parts = [ihara_bracket_component(psi0[i - 1], comps[d0 + k - i])
-                 for i in range(1, k + 1)]
+        # the brackets {psi0^(i), alpha^(d0+k-i)} as one sum of actions
+        parts = []
+        for i in range(1, k + 1):
+            p, a = psi0[i - 1], comps[d0 + k - i]
+            parts += [ihara_action_component(p, a),
+                      -ihara_action_component(a, p)]
         comps[d0 + k] = rf_sum_a(d0 + k, parts).scale(QQ(1, 2 * k))
     w = alpha.weight()
     return DepthSeries(comps, max_depth, weight=w)

@@ -99,9 +99,13 @@ Kernels:
     coefficient that p divides gives no bound.  The bound is read once
     per numerator and form, and each attempted division spends one unit
     of it.  Distinct canonical forms are coprime, so the numerator and
-    every quotient it is divided into share one pretest.  The pretest
-    only decides whether an exact division is attempted, never its
-    outcome, so it cannot change a result.
+    every quotient it is divided into share one pretest.  Each term's
+    value at the point is reduced mod p once; a pivot's layer adds up
+    the values of each exponent e of the pivot and multiplies each of
+    these sums once by x_v^-e, so a layer costs one pass over the terms
+    and one product per exponent.  The pretest only decides whether an
+    exact division is attempted, never its outcome, so it cannot change a
+    result.
     The point must be generic for the numerators built here, which are
     sums of products of differences with small integer coefficients.  On
     an arithmetic progression x_i = i*s such a numerator often vanishes
@@ -1220,30 +1224,30 @@ class _DivisibilityTester:
             for s, row in powers:
                 e = k >> s & _MASK
                 if e:
-                    val = val * row[e] % PRIME
-            values.append((k, val))
+                    val *= row[e]
+            values.append((k, val % PRIME))
         return values
 
     def _layer(self, v):
         """The layer [S_0, S_1, ..] mod p of the numerator for the pivot
-        x_v."""
+        x_v, one entry per exponent of x_v up to the highest present."""
         layer = self.layers.get(v)
         if layer is not None:
             return layer
         if self.values is None:
             self.values = self._term_values()
-        # divide the power of x_v back out of each term's value
-        x_inv = pow(self.point[v - 1], -1, PRIME)
         s = _shift(self.poly.arity, v)
-        inv_powers = [1]
-        layer = [0]
+        sums = {}
         for k, val in self.values:
             e = k >> s & _MASK
-            while e >= len(layer):
-                inv_powers.append(inv_powers[-1] * x_inv % PRIME)
-                layer.append(0)
-            layer[e] += val * inv_powers[e]
-        layer = self.layers[v] = [c % PRIME for c in layer]
+            sums[e] = sums.get(e, 0) + val
+        x_inv = pow(self.point[v - 1], -1, PRIME)
+        layer = []
+        inv_power = 1
+        for e in range(max(sums, default=0) + 1):
+            layer.append(sums.get(e, 0) * inv_power % PRIME)
+            inv_power = inv_power * x_inv % PRIME
+        self.layers[v] = layer
         return layer
 
     def _budget(self, form):

@@ -17,7 +17,11 @@ Cache: the linearized Ihara action of one component on another is kept,
 keyed on the exact representation of both inputs.  The zeta elements are
 nested brackets of generators over two bases whose low-depth components
 agree, and chi is twisted again at each max_depth, so the same pair of
-components is acted on many times (ihara_action_component).
+components is acted on many times (ihara_action_component).  Above the
+cache, series_ihara_bracket and gens.twist_by_psi0 sum the cached actions
+f o g and -(g o f) of one depth in a single rf_sum_a, so each bracket
+component is cleared and normalized once: normalization is the largest
+cost of the brackets.
 """
 
 from __future__ import annotations
@@ -116,9 +120,6 @@ class DepthSeries:
 
     def __sub__(self, other):
         return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def scale(self, c):
         c = QQ(c)
@@ -277,9 +278,9 @@ def stuffle_concat(f, g):
     return f.extended(n) * g.extended(n, offset=p)
 
 
-def _depthwise(f, g, product):
-    """The depth-d component is the sum over i + j = d of
-    product(f^(i), g^(j)); a scalar part acts by scaling."""
+def _depthwise(f, g, products):
+    """The depth-d component is one sum of the values products(f^(i),
+    g^(j)) over i + j = d; a scalar part acts by scaling."""
     md = _binary_max_depth(f, g)
     comps = {}
     for d in range(1, md + 1):
@@ -293,7 +294,7 @@ def _depthwise(f, g, product):
             fi = f.components.get(i)
             gj = g.components.get(d - i)
             if fi is not None and gj is not None:
-                parts.append(product(fi, gj))
+                parts.extend(products(fi, gj))
         comps[d] = rf_sum_a(d, parts)
     w = None
     if f.weight is not None and g.weight is not None:
@@ -304,7 +305,7 @@ def _depthwise(f, g, product):
 
 def series_stuffle(f, g):
     """Extension of the stuffle concatenation to depth series."""
-    return _depthwise(f, g, stuffle_concat)
+    return _depthwise(f, g, lambda a, b: (stuffle_concat(a, b),))
 
 
 def stuffle_exp(nu, max_depth):
@@ -332,6 +333,13 @@ def _ihara_action_homogeneous(f, g, deg_f):
     distinct slots b_0, .., b_r (with x_0 = 0), which is u = unreduce(f)
     at y_k -> x_(b_k).  So f is substituted once, and every term with
     b_0 > 0 is a relabel of u; the term with b_0 = 0 is f itself.
+
+    The g-term of index i is g at x_1..x_i, x_(i+r+1)..x_n, i = 0..s.  It
+    multiplies f(x_(i+1) - x_i, .., x_(i+r) - x_i) and, for i < s, the
+    reversed f(x_(i+r) - x_(i+r+1), .., x_(i+1) - x_(i+r+1)), so g is
+    substituted s + 1 times for the 2s + 1 products.  The two f-terms are
+    not added before the product: their sum cancels nothing and would be
+    one more normalization.
     """
     r, s = f.arity, g.arity
     n = r + s
@@ -344,18 +352,15 @@ def _ihara_action_homogeneous(f, g, deg_f):
 
     parts = []
     for i in range(0, s + 1):
+        g_i = g.substitute_affine(
+            [var_vector(n, j) for j in range(1, i + 1)]
+            + [var_vector(n, j) for j in range(i + r + 1, n + 1)], n)
         # f(x_(i+1) - x_i, .., x_(i+r) - x_i), with x_0 = 0
-        f_i = f_at(range(i, i + r + 1)) if i else f.extended(n)
-        g_imgs = ([var_vector(n, j) for j in range(1, i + 1)]
-                  + [var_vector(n, j) for j in range(i + r + 1, n + 1)])
-        parts.append(f_i * g.substitute_affine(g_imgs, n))
-    for i in range(1, s + 1):
-        # f(x_(i+r-1) - x_(i+r), .., x_i - x_(i+r))
-        g_imgs = ([var_vector(n, j) for j in range(1, i)]
-                  + [var_vector(n, j) for j in range(i + r, n + 1)])
-        parts.append((f_at(range(i + r, i - 1, -1))
-                      * g.substitute_affine(g_imgs, n))
-                     .scale(sign))
+        parts.append((f_at(range(i, i + r + 1)) if i else f.extended(n))
+                     * g_i)
+        if i < s:
+            # f(x_(i+r) - x_(i+r+1), .., x_(i+1) - x_(i+r+1))
+            parts.append((f_at(range(i + r + 1, i, -1)) * g_i).scale(sign))
     return rf_sum_a(n, parts)
 
 
@@ -397,11 +402,17 @@ def series_ihara_action(f, g):
     """Per-depth action: (f o g)^(d) = sum over i+j=d of f^(i) o g^(j)."""
     if f.const != 0:
         raise ValueError("left action of a scalar is not defined")
-    return _depthwise(f, g, ihara_action_component)
+    return _depthwise(f, g, lambda a, b: (ihara_action_component(a, b),))
 
 
 def series_ihara_bracket(f, g):
-    return series_ihara_action(f, g) - series_ihara_action(g, f)
+    """{f, g} = f o g - g o f, one sum per depth: the depth-d component
+    is the sum of f^(i) o g^(j) and -(g^(j) o f^(i)) over i + j = d, so
+    it is cleared and normalized once."""
+    if f.const != 0 or g.const != 0:
+        raise ValueError("left action of a scalar is not defined")
+    return _depthwise(f, g, lambda a, b: (ihara_action_component(a, b),
+                                          -ihara_action_component(b, a)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Bit-for-bit guard: the cheapest benchmark task of each workload must
-reproduce the output digest recorded in perfbench/expected.json.
+"""Bit-for-bit guard: the benchmark tasks must reproduce the output
+digests recorded in perfbench/expected.json, the cheapest task of each
+workload one by one and then every task of the pools.
 
 The benchmark module is compiled from its source and nothing is written
 under perfbench/ (no bytecode cache, no change to expected.json).
@@ -45,3 +46,15 @@ def test_task_digest_matches_the_recording(workloads, expected, task):
     text, passed = workloads.run_task(task)
     assert passed
     assert workloads.digest(text) == expected[workloads.task_key(task)]
+
+
+def test_every_recorded_digest(workloads, expected):
+    # every task any seed can draw, so a change of output anywhere in the
+    # pools fails here and not only in a benchmark run
+    pool = [t for w in workloads.WORKLOADS for t in workloads.task_pool(w)]
+    assert sorted(map(workloads.task_key, pool)) == sorted(expected)
+    for task in pool:
+        text, passed = workloads.run_task(task)
+        assert passed, workloads.task_key(task)
+        assert workloads.digest(text) == expected[workloads.task_key(task)], \
+            workloads.task_key(task)

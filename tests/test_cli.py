@@ -462,6 +462,24 @@ class TestDecompose:
         assert data["kernel_dim"] == 1
         assert {"word": [9, 3, -1], "coeff": "-241/2112"} in data["terms"]
 
+    def test_sigma5_text(self, capsys):
+        code, out, _ = invoke(capsys, "decompose", "--weight", "5",
+                              "--max-depth", "4")
+        assert code == 0
+        assert out == ("1 * psi[5] + -1/60 * psi[{-1,-1,7}]"
+                       " + -1/5 * psi[{3,3,-1}]\n")
+
+    def test_sigma11_text_names_the_kernel(self, capsys):
+        code, out, _ = invoke(capsys, "decompose", "--weight", "11",
+                              "--max-depth", "3")
+        assert code == 0
+        assert out == ("1 * psi[11] + -1/264 * psi[{-1,-1,13}]"
+                       " + -2053/6336 * psi[{5,7,-1}]"
+                       " + 479/2112 * psi[{7,5,-1}]"
+                       " + -241/2112 * psi[{9,3,-1}]\n"
+                       "kernel dimension: 1 (free coefficients pinned to "
+                       "zero)\n")
+
 
 class TestDims:
     def test_pe_table(self, capsys):

@@ -3,7 +3,7 @@ import functools
 import json
 import pathlib
 import re
-from math import gcd
+from math import comb, gcd
 
 import pytest
 import sympy
@@ -15,7 +15,8 @@ from dshuffle.rationals import PRIME, QQ
 from dshuffle.ratfun import (_MASK, MAX_ARITY, ArityMismatch,
                              ExponentOverflow, ParseError, PoleOrderError,
                              Polynomial, RationalFunction,
-                             _DivisibilityTester, _cancel, _split,
+                             _DivisibilityTester, _cancel, _pretest_point,
+                             _split, _unpack,
                              coefficient_rows, form_normalize, linear_form,
                              parse, rf_sum_a, var_vector)
 from dshuffle.gens import psi_zero_component, s_d
@@ -678,6 +679,85 @@ class TestCancellation:
         assert rf_sum_a(2, [RationalFunction.zero(2), v]) is v
         with pytest.raises(ArityMismatch):
             rf_sum_a(3, [v])
+
+
+def _reference_layer(poly, v):
+    """The layer of the pivot x_v by its definition, term by term: each
+    integer term at the pretest point with x_v left out, mod p, added into
+    the slot of its power of x_v; one slot per power up to the highest."""
+    x = _pretest_point(poly.arity)
+    exps = {k: _unpack(poly.arity, k) for k in poly.ints}
+    layer = [0] * (1 + max((e[v - 1] for e in exps.values()), default=0))
+    for k, c in poly.ints.items():
+        value = c
+        for i, e in enumerate(exps[k], 1):
+            if i != v:
+                value = value * pow(x[i - 1], e, PRIME) % PRIME
+        layer[exps[k][v - 1]] = (layer[exps[k][v - 1]] + value) % PRIME
+    return layer
+
+
+def _reference_budget(poly, form):
+    """The multiplicity of the form's root in the reference layer, read
+    from the Taylor coefficients at the root; a zero layer gives its
+    length - 1, and a pivot coefficient that p divides no bound."""
+    v = max(i for i, c in enumerate(form) if i and c)
+    if not form[v] % PRIME:
+        return None
+    x = _pretest_point(poly.arity)
+    rest = form[0] + sum(c * y for i, (c, y) in enumerate(zip(form[1:], x), 1)
+                         if i != v)
+    root = -rest * pow(form[v], -1, PRIME) % PRIME
+    layer = _reference_layer(poly, v)
+    for j in range(len(layer)):
+        taylor = sum(comb(i, j) * c * pow(root, i - j, PRIME)
+                     for i, c in enumerate(layer) if i >= j) % PRIME
+        if taylor:
+            return j
+    return len(layer) - 1
+
+
+class TestPretestKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_layers_and_budgets_equal_the_per_term_reference(self, data):
+        arity = data.draw(st.integers(1, 4))
+        rng = make_rng(data.draw(st.integers(0, 10 ** 6)))
+        num = random_rf(rng, arity, num_degree=data.draw(st.integers(0, 4)),
+                        terms=data.draw(st.integers(1, 6))).num
+        pairs = [(a, b) for a in range(1, arity + 1) for b in range(a)]
+        forms = [linear_form(a, b, arity)
+                 for a, b in data.draw(st.lists(st.sampled_from(pairs),
+                                                max_size=3))]
+        for _ in range(data.draw(st.integers(0, 2))):
+            coeffs = [data.draw(small_rat) for _ in range(arity + 1)]
+            assume(any(coeffs[1:]))
+            forms.append(form_normalize(coeffs)[1])
+        # some forms divide, some share their root with a factor
+        for f in data.draw(st.lists(st.sampled_from(forms), max_size=3)
+                           if forms else st.just([])):
+            num = num.mul_form(f)
+        # a pivot coefficient that p divides
+        forms.append((1,) * arity + (PRIME,))
+        tester = _DivisibilityTester(num)
+        for v in range(1, arity + 1):
+            assert tester._layer(v) == _reference_layer(num, v)
+        for f in forms:
+            assert tester._budget(f) == _reference_budget(num, f)
+
+    def test_layer_vanishing_on_the_pivot_line(self):
+        # N = (x1 - P1)(x2 - x1)^2 is zero on the line of x2 through the
+        # pretest point P, so the layer is [0, 0, 0]; its length - 1 bounds
+        # the multiplicity, and the division succeeds twice
+        p1 = _pretest_point(2)[0]
+        q = Polynomial.variable(2, 1) - Polynomial.const(2, p1)
+        x2_x1 = linear_form(2, 1, 2)
+        num = q.mul_form(x2_x1).mul_form(x2_x1)
+        tester = _DivisibilityTester(num)
+        assert tester._layer(2) == [0, 0, 0]
+        assert tester._budget(x2_x1) == 2
+        value = RationalFunction.from_num_den(num, {x2_x1: 2})
+        assert value.num == q and value.den == {}
 
 
 class TestPretestWaste:

@@ -32,6 +32,8 @@ ORACLES = (
     ("sl2_f_via_rotations", "the lowering operator by cyclic rotations, "
      "against sl2_f"),
     ("vineyard_realize", "the realization of a vineyard, against s_d"),
+    ("series_ihara_action", "f∘g depth by depth: the definition f∘g − g∘f "
+     "that the single-sum series_ihara_bracket is checked against"),
 )
 
 

@@ -14,7 +14,7 @@ from dshuffle.series import (DepthSeries, cyclic_sum,
                              series_ihara_bracket, series_stuffle,
                              shuffle_concat, sigma, stuffle_concat,
                              stuffle_exp, tau, unreduce)
-from dshuffle.gens import (mu_minus, mu_plus, nu_series, psi_minus_one,
+from dshuffle.gens import (chi, mu_minus, mu_plus, nu_series, psi_minus_one,
                            psi_odd, psi_odd_component, s_d, vine_rat, Vine)
 
 from conftest import (agrees_pointwise, make_rng, mono, random_poly,
@@ -415,6 +415,55 @@ class TestExpAndTruncation:
         series = DepthSeries({1: mono(2)}, 3)
         with pytest.raises(ValueError):
             plus_truncate(series)
+
+
+class TestSingleSumBracket:
+    """series_ihara_bracket sums both actions of each depth at once; it
+    must give exactly the series of the definition f o g - g o f."""
+
+    @staticmethod
+    def pairs():
+        rng = make_rng(25)
+        loose = DepthSeries({1: mono(2), 2: random_rf(rng, 2)}, 3)
+        return [
+            (psi_odd(1, 4), psi_odd(2, 4)),
+            (psi_minus_one(5), psi_odd(1, 5)),
+            (chi(-1, 5), chi(3, 5)),
+            # truncated: f's order 2 caps the exact range at depth 3
+            (psi_odd(1, 2), psi_odd(2, 5)),
+            # incomplete with no weight, against a complete single depth
+            (loose, DepthSeries.single(mono(-2), 5)),
+            (DepthSeries.single(mono(4), 4), loose),
+        ]
+
+    def test_equals_the_difference_of_actions(self):
+        for f, g in self.pairs():
+            got = series_ihara_bracket(f, g)
+            want = series_ihara_action(f, g) - series_ihara_action(g, f)
+            assert got.to_json_dict() == want.to_json_dict()
+            assert (got.max_depth, got.weight, got.complete, got.const) \
+                == (want.max_depth, want.weight, want.complete, want.const)
+
+    def test_one_sum_per_depth(self, monkeypatch):
+        for f, g in self.pairs():
+            series_ihara_bracket(f, g)  # the actions are now cached
+            calls = []
+
+            def counting(arity, values):
+                calls.append(arity)
+                return rf_sum_a(arity, values)
+            monkeypatch.setattr(series, "rf_sum_a", counting)
+            got = series_ihara_bracket(f, g)
+            monkeypatch.undo()
+            assert calls == list(range(1, got.max_depth + 1))
+
+    def test_scalar_part_raises(self):
+        for f, g in self.pairs()[:2]:
+            with_const = f + DepthSeries.unit(f.max_depth)
+            for left, right in ((with_const, g), (g, with_const),
+                                (with_const, with_const)):
+                with pytest.raises(ValueError, match="scalar"):
+                    series_ihara_bracket(left, right)
 
 
 class TestSeriesBracketStructure:
