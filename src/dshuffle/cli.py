@@ -12,7 +12,7 @@ import json
 import sys
 
 from .rationals import rat_str
-from .ratfun import ParseError, RationalFunction
+from .ratfun import RationalFunction
 from .series import DepthSeries
 from . import anatomy, dsh_check, gens, modforms, resflt
 
@@ -35,7 +35,11 @@ def emit(value, fmt):
 
 def _load_series(path):
     with open(path) as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError("%s is not a DepthSeries JSON file (nested too "
+                             "deeply)" % path) from None
     try:
         return DepthSeries.from_json_dict(data)
     except (KeyError, TypeError, AttributeError) as exc:
@@ -250,10 +254,14 @@ def run(argv):
         return 2 if exc.code not in (0, None) else 0
     try:
         return COMMANDS[args.command](args)
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 
 
 def main():  # pragma: no cover
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":  # pragma: no cover
+    main()

@@ -9,7 +9,8 @@ only meant to appear inside equation checking, never in stored elements.
 Representation:
   * Monomial  -- exponent tuple, one entry per variable.  This is the
                   public form: constructors, `coefficient`, the `terms`
-                  view, `sorted_terms`, text and JSON take or give tuples.
+                  view, `sorted_terms` and JSON take or give tuples, and
+                  text gives them (JSON is the only serialized input).
   * key       -- the packed form of a Monomial inside a Polynomial, one
                   int (Monagan & Pearce, POLY: a new polynomial data
                   structure for Maple 17, 2013).  Each variable has a
@@ -139,12 +140,11 @@ Kernels:
 
 from __future__ import annotations
 
-import re
 from collections.abc import Mapping
 from itertools import accumulate
 from math import factorial, gcd, lcm
 
-from .rationals import QQ, ZERO, ONE, PRIME, rat_str, rat_from_str
+from .rationals import QQ, ZERO, ONE, PRIME, rat_str
 
 
 class ArityMismatch(ValueError):
@@ -180,11 +180,7 @@ class PoleOrderError(ValueError):
 
 
 class ParseError(ValueError):
-    def __init__(self, message, position=None):
-        if position is not None:
-            message = "%s (at position %d)" % (message, position)
-        super().__init__(message)
-        self.position = position
+    """A JSON value that is not a valid serialized form."""
 
 
 # ---------------------------------------------------------------------------
@@ -1534,232 +1530,3 @@ def condition_rows(arity, exps, conditions, den):
         rows.update(dict.fromkeys(map(tuple, _rows(columns,
                                                    [1] * len(columns)))))
     return list(rows)
-
-
-# ---------------------------------------------------------------------------
-# text parsing
-
-
-# ASCII digits and whitespace only: in Unicode mode \d would read other
-# scripts' digits as decimal ones
-_TOKEN = re.compile(r"\s*(x\d+|\^|\d+/\d+|\d+|[+\-*/()])?", re.ASCII)
-
-
-def _tokenize(s):
-    tokens = []
-    pos = 0
-    while pos < len(s):
-        m = _TOKEN.match(s, pos)
-        if m.group(1) is None:
-            if m.end() < len(s):
-                raise ParseError("unexpected character %r" % s[m.end()],
-                                 m.end())
-            break
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    """Recursive-descent parser for the canonical text grammar.
-
-    poly   := term ('+' term)*
-    term   := ['-'] coeff ['*' factors] | ['-'] factors
-    factors:= ('x' INT ['^' INT])+
-    rf     := '(' poly ')' ['/' '(' form+ ')']
-            | poly ['/' denprod]        (tolerant input form)
-    denprod:= '(' factor ('*' factor)* ')'
-    factor := 'x' INT | '(' form ')'
-    form   := 'x' INT ['-' 'x' INT]
-    """
-
-    def __init__(self, s, arity=None):
-        self.s = s
-        self.tokens = _tokenize(s)
-        self.i = 0
-        self.arity = arity
-        self.max_var = 0
-
-    def peek(self):
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def next(self):
-        if self.i >= len(self.tokens):
-            raise ParseError("unexpected end of input", len(self.s))
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, value):
-        tok, pos = self.next()
-        if tok != value:
-            raise ParseError("expected %r, found %r" % (value, tok), pos)
-
-    def var_index(self, tok, pos):
-        idx = _bounded_int(tok[1:], MAX_ARITY)
-        if idx is None:
-            raise ParseError("variable %s exceeds x%d" % (tok, MAX_ARITY),
-                             pos)
-        if idx == 0:
-            raise ParseError("x0 is internal and cannot be used", pos)
-        self.max_var = max(self.max_var, idx)
-        return idx
-
-    def parse_factors(self):
-        """One or more factors x_i or x_i^e; the total degree is bounded
-        like that of a packed monomial."""
-        exps = {}
-        degree = 0
-        while self.peek() is not None and self.peek().startswith("x"):
-            tok, pos = self.next()
-            idx = self.var_index(tok, pos)
-            power = 1
-            if self.peek() == "^":
-                self.next()
-                ptok, pos = self.next()
-                if not ptok.isdigit():
-                    raise ParseError("expected exponent, found %r" % ptok,
-                                     pos)
-                power = _bounded_int(ptok, _MASK - degree)
-                if power is None:
-                    raise ParseError("exponent %s takes the total degree past "
-                                     "%d" % (ptok, _MASK), pos)
-            elif degree == _MASK:
-                raise ParseError("factor %s takes the total degree past %d"
-                                 % (tok, _MASK), pos)
-            exps[idx] = exps.get(idx, 0) + power
-            degree += power
-        if not exps:
-            # only after '*' can the factors be missing
-            tok = self.peek()
-            if tok is None:
-                raise ParseError("expected a variable after '*', found the "
-                                 "end of input", len(self.s))
-            raise ParseError("expected a variable after '*', found %r" % tok,
-                             self.tokens[self.i][1])
-        return exps
-
-    def parse_term(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            tok, _ = self.next()
-            if tok == "-":
-                sign = -sign
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("empty term", len(self.s))
-        if tok.startswith("x"):
-            coeff = QQ(sign)
-            exps = self.parse_factors()
-        else:
-            ctok, cpos = self.next()
-            try:
-                coeff = rat_from_str(ctok) * sign
-            except (ValueError, ZeroDivisionError):
-                raise ParseError("bad coefficient %r" % ctok, cpos)
-            exps = {}
-            if self.peek() == "*":
-                self.next()
-                exps = self.parse_factors()
-        return coeff, exps
-
-    def parse_poly_terms(self):
-        terms = [self.parse_term()]
-        while self.peek() in ("+", "-"):
-            if self.peek() == "+":
-                self.next()
-            terms.append(self.parse_term())
-        return terms
-
-    def parse_form(self):
-        tok, pos = self.next()
-        if not tok.startswith("x"):
-            raise ParseError("expected a variable in a denominator form", pos)
-        a = self.var_index(tok, pos)
-        b = 0
-        if self.peek() == "-":
-            self.next()
-            tok2, pos2 = self.next()
-            if not tok2.startswith("x"):
-                raise ParseError("expected a variable after '-'", pos2)
-            b = self.var_index(tok2, pos2)
-            if b == a:
-                raise ParseError("zero denominator form %s-%s" % (tok, tok2),
-                                 pos)
-        return a, b
-
-    def parse(self):
-        # numerator
-        if self.peek() == "(":
-            self.next()
-            terms = self.parse_poly_terms()
-            self.expect(")")
-        else:
-            terms = self.parse_poly_terms()
-        pairs = []
-        if self.peek() == "/":
-            self.next()
-            self.expect("(")
-            while True:
-                if self.peek() == "(":
-                    self.next()
-                    pairs.append(self.parse_form())
-                    self.expect(")")
-                elif self.peek() is not None and self.peek().startswith("x"):
-                    pairs.append(self.parse_form())
-                else:
-                    tok, pos = self.next()
-                    raise ParseError("expected a denominator factor, found %r"
-                                     % tok, pos)
-                if self.peek() == "*":
-                    self.next()
-                    continue
-                if self.peek() == ")":
-                    self.next()
-                    break
-        if self.i != len(self.tokens):
-            tok, pos = self.tokens[self.i]
-            raise ParseError("trailing input %r" % tok, pos)
-        arity = self.arity if self.arity is not None else self.max_var
-        if self.max_var > arity:
-            raise ParseError("variable x%d exceeds arity %d"
-                             % (self.max_var, arity))
-        coeffs = {}
-        for coeff, exps in terms:
-            m = [0] * arity
-            for idx, e in exps.items():
-                m[idx - 1] = e
-            m = tuple(m)
-            coeffs[m] = coeffs.get(m, ZERO) + coeff
-        num = Polynomial(arity, coeffs)
-        den = []
-        sign = ONE
-        for a, b in pairs:
-            if b and b > a:
-                a, b = b, a
-                sign = -sign
-            den.append(linear_form(a, b, arity))
-        if sign != 1:
-            num = num.scale(sign)
-        return RationalFunction.from_num_den(num, den)
-
-
-def _bounded_int(digits, bound):
-    """The int of a string of decimal digits, or None above the bound; a
-    long string is not converted."""
-    digits = digits.lstrip("0") or "0"
-    if len(digits) > len(str(bound)) or int(digits) > bound:
-        return None
-    return int(digits)
-
-
-def parse(s, arity=None):
-    """Parse the canonical text form (tolerant about '*' in denominators).
-
-    Variables run up to x_MAX_ARITY, as in JSON, and so does the arity;
-    a term's total degree is at most that of a packed monomial."""
-    if arity is not None and not (type(arity) is int
-                                  and 0 <= arity <= MAX_ARITY):
-        raise ParseError("arity %r is not an integer from 0 to %d"
-                         % (arity, MAX_ARITY))
-    return _Parser(s, arity).parse()

@@ -11,7 +11,7 @@ import pytest
 
 from dshuffle.rationals import QQ
 from dshuffle.ratfun import (Polynomial, RationalFunction, linear_form,
-                             parse, rf_sum_a, var_vector)
+                             rf_sum_a, var_vector)
 from dshuffle.series import (DepthSeries, dihedral_bracket,
                              ihara_action_component, ihara_bracket_component,
                              plus_truncate, series_ihara_bracket,
@@ -300,7 +300,8 @@ class TestCriterion14PropertySuites:
 
     def test_lambda_equivalence(self):
         cases = [c_n(3), psi_odd(1, 3).component(3),
-                 parse("x1^2x2^1x3^1", 3), z3()]
+                 RationalFunction.from_poly(Polynomial.monomial(3, (2, 1, 1))),
+                 z3()]
         ok = True
         for f in cases:
             for sharp in (False, True):

@@ -2,17 +2,24 @@ import contextlib
 import copy
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import dshuffle
 from dshuffle import anatomy, gens
 from dshuffle.cli import emit, run
 from dshuffle.rationals import QQ
-from dshuffle.ratfun import MAX_ARITY, RationalFunction, parse
+from dshuffle.ratfun import MAX_ARITY, RationalFunction
 from dshuffle.gens import psi_odd
 from dshuffle.series import DepthSeries, ihara_bracket_component
+
+from textform import parse
 
 
 def invoke(capsys, *argv):
@@ -171,6 +178,15 @@ class TestBracketRes:
                                 "--depth", "1")
         assert_usage_error(code, out, err)
         assert "'2'" in err and "max_depth" in err
+
+    def test_res_nested_too_deeply(self, capsys, tmp_path):
+        # the JSON reader recurses once per level of nesting
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        code, out, err = invoke(capsys, "res", "--element", str(path),
+                                "--depth", "1")
+        assert_usage_error(code, out, err)
+        assert str(path) in err
 
     @pytest.mark.parametrize("data, depth, key", [
         ({"max_depth": 1, "components": {"1": {
@@ -515,6 +531,21 @@ class TestCoeff:
 class TestParsing:
     def test_usage_error_exit_2(self, capsys):
         assert run(["bogus"]) == 2
+
+    def test_module_runs_the_command_line(self, capsys):
+        src = pathlib.Path(dshuffle.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+
+        def module(*argv):
+            return subprocess.run([sys.executable, "-m", "dshuffle.cli",
+                                   *argv], capture_output=True, text=True,
+                                  env=env)
+        argv = ["gen", "psi", "--weight", "3", "--depth", "2"]
+        done = module(*argv)
+        assert done.returncode == run(argv) == 0
+        assert done.stdout == capsys.readouterr().out != ""
+        assert module("gen", "psi", "--weight", "x", "--depth",
+                      "2").returncode == 2
 
     def test_emit_rational_function(self):
         f = parse("1/(x1*(x2-x1))")

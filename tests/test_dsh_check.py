@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from dshuffle.rationals import QQ
-from dshuffle.ratfun import RationalFunction, parse
+from dshuffle.ratfun import RationalFunction
 from dshuffle.series import (DepthSeries, is_translation_invariant,
                              series_ihara_bracket, unreduce)
 from dshuffle.dsh_check import (all_pass, check_dihedral, check_lambda_form,
@@ -16,6 +16,7 @@ from dshuffle.words import lie_projector
 
 from conftest import (agrees_pointwise, make_rng, mono, random_rf,
                       spy_substitutions)
+from textform import parse
 
 
 class TestShuffleFamily:

@@ -4,7 +4,7 @@ import pytest
 
 from dshuffle.rationals import QQ
 from dshuffle.ratfun import (Polynomial, RationalFunction, linear_form,
-                             parse, rf_sum_a)
+                             rf_sum_a)
 from dshuffle.series import ihara_bracket_component, shuffle_concat, sigma
 from dshuffle.dsh_check import sharp_eval
 from dshuffle.gens import (CHI_MAX_DEPTH, SD_MAX_DEPTH, Q4, Vine, c_n, chi,
@@ -15,6 +15,7 @@ from dshuffle.gens import (CHI_MAX_DEPTH, SD_MAX_DEPTH, Q4, Vine, c_n, chi,
                            vine_rat, x_AB_inverse, z3, generator)
 
 from conftest import mono
+from textform import parse
 
 
 class TestXAB:

@@ -1,5 +1,4 @@
 import ast
-import functools
 import json
 import pathlib
 import re
@@ -18,31 +17,28 @@ from dshuffle.ratfun import (_MASK, MAX_ARITY, ArityMismatch,
                              _DivisibilityTester, _cancel, _pretest_point,
                              _split, _unpack,
                              coefficient_rows, form_normalize, linear_form,
-                             parse, rf_sum_a, var_vector)
+                             rf_sum_a, var_vector)
 from dshuffle.gens import psi_zero_component, s_d
 from dshuffle.series import ihara_action_component
 
 from conftest import (agrees_pointwise, clear_program_caches, make_rng, mono,
                       random_rf)
-
-
-def rf(text, arity=None):
-    return parse(text, arity=arity)
+from textform import parse
 
 
 class TestAdd:
     def test_additive_inverse(self):
-        f = rf("1/(x1)")
+        f = parse("1/(x1)")
         assert (f + f.scale(-1)).is_zero()
 
     def test_common_denominator(self):
-        got = rf("1/(x1)", 2) + rf("1/(x2)", 2)
-        assert got.equals(rf("(x1^1 + x2^1)/(x1*x2)"))
+        got = parse("1/(x1)", 2) + parse("1/(x2)", 2)
+        assert got.equals(parse("(x1^1 + x2^1)/(x1*x2)"))
 
     def test_sum_matches_weight_zero_component(self):
         # brute-force oracle: evaluate both sides at sample points
-        a = rf("2/(x1*x2)")
-        b = rf("1/(x1*(x1-x2))")
+        a = parse("2/(x1*x2)")
+        b = parse("1/(x1*(x1-x2))")
         total = a + b
         for pt in [(QQ(2), QQ(1)), (QQ(5), QQ(3)), (QQ(-7), QQ(2))]:
             assert total.evaluate(pt) == a.evaluate(pt) + b.evaluate(pt)
@@ -51,22 +47,22 @@ class TestAdd:
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
-            rf("1/(x1)") + rf("1/(x2)")
+            parse("1/(x1)") + parse("1/(x2)")
 
 
 class TestMulScale:
     def test_cancellation(self):
-        f = rf("1/(x1)")
-        g = rf("x1")
+        f = parse("1/(x1)")
+        g = parse("x1")
         assert (f * g).equals(RationalFunction.const(1, 1))
 
     def test_scale_zero(self):
         assert random_rf(make_rng(1), 3).scale(0).is_zero()
 
     def test_partial_cancellation(self):
-        f = rf("1/(x2-x1)")
-        sq = rf("x2^2 + -2*x1^1x2^1 + x1^2", 2)
-        assert (f * sq).equals(rf("x2 + -1*x1", 2))
+        f = parse("1/(x2-x1)")
+        sq = parse("x2^2 + -2*x1^1x2^1 + x1^2", 2)
+        assert (f * sq).equals(parse("x2 + -1*x1", 2))
 
     def test_weight_additive_on_homogeneous(self, rng):
         for _ in range(5):
@@ -111,37 +107,37 @@ class TestRingAxioms:
 
 class TestSubstitute:
     def test_sharp_on_x1x2(self):
-        f = rf("x1^1x2^1", 2)
+        f = parse("x1^1x2^1", 2)
         from dshuffle.dsh_check import sharp_eval
         got = sharp_eval(f, (1, 2))
-        assert got.equals(rf("x1^2 + x1^1x2^1", 2))
+        assert got.equals(parse("x1^2 + x1^1x2^1", 2))
 
     def test_shift_square(self):
         from dshuffle.ratfun import diff_vector
-        f = rf("x1^2")
+        f = parse("x1^2")
         got = f.substitute_affine([diff_vector(2, 2, 1)], 2)
-        assert got.equals(rf("x2^2 + -2*x1^1x2^1 + x1^2", 2))
+        assert got.equals(parse("x2^2 + -2*x1^1x2^1 + x1^2", 2))
 
     def test_sigma_image_of_monomial(self):
         from dshuffle.series import sigma
-        f = rf("x1^2x2^1", 2)
+        f = parse("x1^2x2^1", 2)
         # r = 2: positive sign, arguments (x2-x1, x2)
         got = sigma(f)
-        expect = rf("x2^2 + -2*x1^1x2^1 + x1^2", 2) * rf("x2", 2)
+        expect = parse("x2^2 + -2*x1^1x2^1 + x1^2", 2) * parse("x2", 2)
         assert got.equals(expect)
 
     def test_denominator_vanishes(self):
         from dshuffle.ratfun import var_vector
-        f = rf("1/(x2-x1)")
+        f = parse("1/(x2-x1)")
         images = [var_vector(2, 1), var_vector(2, 1)]
         with pytest.raises(PoleOrderError):
             f.substitute_affine(images, 2)
 
     def test_denominator_becomes_a_constant(self):
         # x1 -> 2, x2 -> x1: the form x1 becomes the scalar 2
-        f = rf("x2/(x1)")
+        f = parse("x2/(x1)")
         images = [(2, 0), var_vector(1, 1)]
-        assert f.substitute_affine(images, 1).equals(rf("x1", 1).scale(
+        assert f.substitute_affine(images, 1).equals(parse("x1", 1).scale(
             QQ(1, 2)))
 
 
@@ -293,7 +289,7 @@ class TestKernelOracles:
         # p*x2 - x1 is -x1 mod p, with no root on the line of x2
         p = (1 << 61) - 1
         form = (0, -1, p)
-        q = rf("x1^2 + x2 + 1", 2).num
+        q = parse("x1^2 + x2 + 1", 2).num
         num = q.mul_form(form).mul_form(form)
         tester = _DivisibilityTester(num)
         assert all(tester.may_divide(form) for _ in range(3))
@@ -497,33 +493,33 @@ class TestCancellation:
         assert_cancel_agrees(f * g, expr)
 
     def test_shared_top_pole_cancels(self):
-        total = rf("(x1 + x2)/(x1)") + rf("(-1*x2)/(x1)", 2)
+        total = parse("(x1 + x2)/(x1)") + parse("(-1*x2)/(x1)", 2)
         assert total.den == {}
         assert total.num == Polynomial.const(2, 1)
 
     def test_single_holder_keeps_its_pole(self):
-        total = rf("1/(x1*x1)") + rf("1/(x1)")
+        total = parse("1/(x1*x1)") + parse("1/(x1)")
         assert total.den == {linear_form(1, 0, 1): 2}
-        assert total.num == rf("1 + x1").num
+        assert total.num == parse("1 + x1").num
 
     def test_lone_derivative_is_normalized(self):
         # d/dx2 of (x1*x2 + 1)/x1 is x1/x1, and no form involves x2
-        g = rf("(x1x2 + 1)/(x1)").partial(2)
+        g = parse("(x1x2 + 1)/(x1)").partial(2)
         assert g.den == {}
         assert g.num == Polynomial.const(2, 1)
 
     def test_homogeneous_parts_are_normalized(self):
-        f = rf("(x1^2 + x2)/(x1)")
+        f = parse("(x1^2 + x2)/(x1)")
         parts = f.homogeneous_parts()
         for part in parts.values():
             assert_normalized(part)
-        assert parts[1].den == {} and parts[1].num == rf("x1", 2).num
+        assert parts[1].den == {} and parts[1].num == parse("x1", 2).num
         # the Ihara action of f splits over those parts
-        g = rf("1/(x1)")
+        g = parse("1/(x1)")
         action = ihara_action_component(f, g)
         assert_normalized(action)
-        assert action.equals(ihara_action_component(rf("x1", 2), g)
-                             + ihara_action_component(rf("x2/(x1)"), g))
+        assert action.equals(ihara_action_component(parse("x1", 2), g)
+                             + ihara_action_component(parse("x2/(x1)"), g))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -571,7 +567,7 @@ class TestCancellation:
         # there, so its multiples have the zero layer on the line of x4,
         # whose length - 1 bounds the multiplicity: 0 when the numerator
         # lacks x4
-        r = rf("x1^2 + x2x3 + 2", 4).num
+        r = parse("x1^2 + x2x3 + 2", 4).num
         x = _DivisibilityTester(r).point
         f = (-(x[2] - x[0]) % PRIME, -1, 0, 1, 0)
         x4_x1 = linear_form(4, 1, 4)
@@ -591,7 +587,7 @@ class TestCancellation:
         # x4 - x3 and x4 - x1 - c, with c = x3 - x1 at the pretest point,
         # share their root on the line of x4, so each one's budget counts
         # the other's factor too
-        q = rf("x4^2 + x1x3 + 2", 4).num
+        q = parse("x4^2 + x1x3 + 2", 4).num
         x = _DivisibilityTester(q).point
         a, b = linear_form(4, 3, 4), (-(x[2] - x[0]) % PRIME, -1, 0, 0, 1)
         n = q.mul_form(a)
@@ -612,7 +608,7 @@ class TestCancellation:
         # the line of x4 through x4 = x2
         ("x3x4 - x1x2^2", linear_form(4, 2, 4))])
     def test_the_pretest_point_has_no_progression(self, num, form):
-        n = rf(num).num
+        n = parse(num).num
         assert n.divide_form(form) is None
         assert _DivisibilityTester(n)._budget(form) == 0
 
@@ -674,7 +670,7 @@ class TestCancellation:
                                 arity)
 
     def test_a_single_summand_is_its_own_sum(self):
-        v = rf("(x1 + x2)/(x1 x2-x1)")
+        v = parse("(x1 + x2)/(x1 x2-x1)")
         assert rf_sum_a(2, [v]) is v
         assert rf_sum_a(2, [RationalFunction.zero(2), v]) is v
         with pytest.raises(ArityMismatch):
@@ -951,12 +947,12 @@ class TestRepresentation:
 
 class TestResidue:
     def test_simple_pole_at_zero(self):
-        assert rf("1/(x1)").residue(1).equals(RationalFunction.const(0, 1))
+        assert parse("1/(x1)").residue(1).equals(RationalFunction.const(0, 1))
 
     def test_two_variable(self):
         # x2 moves down to slot 1
-        got = rf("1/(x1*x2)").residue(1)
-        assert got.equals(rf("1/(x1)", 1))
+        got = parse("1/(x1*x2)").residue(1)
+        assert got.equals(parse("1/(x1)", 1))
 
     def test_s_d_residue_closed_form(self):
         # residue of the weight-zero element along x_i = x_j
@@ -981,7 +977,7 @@ class TestResidue:
 
     def test_order_two_pole_raises(self):
         with pytest.raises(PoleOrderError):
-            rf("1/(x1*x1)").residue(1)
+            parse("1/(x1*x1)").residue(1)
 
     def test_linearity(self, rng):
         f = random_rf(rng, 2, 2, 1)
@@ -994,8 +990,8 @@ class TestResidue:
                 assert lhs.residue(1).equals(f.residue(1) + g.residue(1))
 
     def test_product_rule_no_pole_factor(self):
-        f = rf("1/(x1)", 2)
-        g = rf("x1^1x2^1", 2)
+        f = parse("1/(x1)", 2)
+        g = parse("x1^1x2^1", 2)
         lhs = (f * g).residue(1)
         # g has no pole along x1 = 0: its constant term there is g at x1 = 0
         assert lhs.equals(g.laurent(1, j=0) * f.residue(1))
@@ -1003,7 +999,7 @@ class TestResidue:
 
 class TestDerivative:
     def test_power(self):
-        assert rf("x1^2").partial(1).equals(rf("2*x1^1", 1))
+        assert parse("x1^2").partial(1).equals(parse("2*x1^1", 1))
 
     def test_nabla_power(self):
         n = 3
@@ -1021,20 +1017,20 @@ class TestDerivative:
 
 class TestEqualsZero:
     def test_sign_normalization(self):
-        assert rf("1/(x1*(x1-x2))").equals(rf("-1/(x1*(x2-x1))", 2))
+        assert parse("1/(x1*(x1-x2))").equals(parse("-1/(x1*(x2-x1))", 2))
 
     def test_distinct_variables(self):
-        assert not rf("x1", 2).equals(rf("x2", 2))
+        assert not parse("x1", 2).equals(parse("x2", 2))
 
     def test_psi_depth2_closed_form(self):
         from dshuffle.gens import psi_odd_component
         n = 1
         p = psi_odd_component(n, 2)
-        closed = (rf("(x2^2)/(x1)")
-                  - rf("(x1^2 + -2*x1^1x2^1 + x2^2)/(x1)")
-                  + rf("(x1^2 + -2*x1^1x2^1 + x2^2)/(x2)")
-                  - rf("(x1^2)/(x2)")
-                  + (rf("x2^2", 2) - rf("x1^2", 2)).divide_form_exact(
+        closed = (parse("(x2^2)/(x1)")
+                  - parse("(x1^2 + -2*x1^1x2^1 + x2^2)/(x1)")
+                  + parse("(x1^2 + -2*x1^1x2^1 + x2^2)/(x2)")
+                  - parse("(x1^2)/(x2)")
+                  + (parse("x2^2", 2) - parse("x1^2", 2)).divide_form_exact(
                       linear_form(2, 1, 2)).scale(-1)).scale(QQ(1, 2))
         assert p.equals(closed)
 
@@ -1053,7 +1049,7 @@ class TestSerialization:
         assert g.equals(f)
 
     def test_json_schema_shape(self):
-        data = rf("1/(x1*(x2-x1))").to_json_dict()
+        data = parse("1/(x1*(x2-x1))").to_json_dict()
         assert data["arity"] == 2
         assert data["den"] == [[1, 0], [2, 1]]
         assert data["num"] == [[1, 1, [0, 0]]]
@@ -1061,7 +1057,7 @@ class TestSerialization:
     @pytest.mark.parametrize("terms", [
         [[1, 0, [1, 2]]], [[0, 1, [1, 2]]], [[True, 1, [1, 2]]],
         [[1, 2.0, [1, 2]]],
-        [[1, 1, [-1, 2]]],     # printed as x1^-1x2^2, which does not parse
+        [[1, 1, [-1, 2]]],     # printed as x1^-1x2^2, not a monomial
         [[1, 1, [1.5, 2]]],    # printed as x1^1x2^2, losing the input
         [[1, 1, [False, 2]]],
         [[1, 1, [1, 0]], [5, 1, [1, 0]]],   # read as 5*x1, losing a term
@@ -1114,99 +1110,12 @@ class TestSerialization:
             RationalFunction.from_json_dict(
                 {"arity": 2, "num": [[1, 1, [1, 0, 2]]], "den": []})
 
-    def test_parse_rejects_x0(self):
-        with pytest.raises(ParseError):
-            parse("x0")
-
-    @pytest.mark.parametrize("text, where", [
-        ("1/0*x1", "'1/0' (at position 0)"), ("1/0", "'1/0' (at position 0)"),
-        ("x1 + 3/0", "'3/0' (at position 5)")])
-    def test_parse_rejects_a_zero_denominator(self, text, where):
-        with pytest.raises(ParseError, match=re.escape(
-                "bad coefficient " + where)):
-            parse(text)
-
-    def test_parse_error_position(self):
-        with pytest.raises(ParseError):
-            parse("1/(x1*(x2-x1)")  # missing closing paren
-
     def test_widened_denominator_not_serializable(self):
         from dshuffle.dsh_check import sharp_eval
-        f = rf("1/(x2)", 2)
+        f = parse("1/(x2)", 2)
         sharp = sharp_eval(f, (1, 2))  # denominator x1+x2
         with pytest.raises(ValueError):
             sharp.to_json_dict()
-
-
-# tokens spliced into the fuzzed texts: each bound of the grammar, on both
-# sides, and the tokens that can end a term, a factor or a denominator
-_FUZZ_TOKENS = (
-    "x", "x0", "x1", "x64", "x65", "x999999999", "x" + "9" * 5000, "^",
-    "^0", "^2", "^65535", "^65536", "^99999", "^" + "9" * 5000, "*", "/",
-    "(", ")", "+", "-", "1/0", "0", "7/3", "-2", "x1-x1", "x2-x1",
-    "(x3-x1)", " ", "2*", "x1^65535", "x1^40000x2^40000", "\n")
-
-
-@functools.lru_cache(maxsize=None)
-def _fuzz_seeds():
-    """The text of the psi3 components through depth 4, z3 and Q4."""
-    from dshuffle.gens import Q4, generator, z3
-    psi3 = generator("psi3", 4)
-    return tuple(v.text() for v in
-                 [psi3.component(d) for d in range(1, 5)] + [z3(), Q4()])
-
-
-@st.composite
-def mutated_texts(draw):
-    text = draw(st.sampled_from(_fuzz_seeds()))
-    for _ in range(draw(st.integers(1, 3))):
-        i = draw(st.integers(0, len(text)))
-        j = draw(st.integers(i, min(len(text), i + 8)))
-        kind = draw(st.sampled_from(("delete", "splice", "repeat")))
-        if kind == "delete":
-            text = text[:i] + text[j:]
-        elif kind == "splice":
-            text = text[:i] + draw(st.sampled_from(_FUZZ_TOKENS)) + text[j:]
-        else:
-            text = text[:j] + text[i:j] + text[j:]
-    return text
-
-
-class TestParseFuzz:
-    """A mutated text either is a ParseError or parses to a value whose
-    text() parses back to the same representation."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(text=mutated_texts(), arity=st.sampled_from((None, 4, MAX_ARITY)))
-    def test_parse_boundary(self, text, arity):
-        try:
-            g = parse(text, arity)
-        except ParseError:
-            return
-        again = parse(g.text(), g.arity)
-        assert (again.arity, again.num, again.den) == (g.arity, g.num, g.den)
-        assert again.text() == g.text()
-
-    @pytest.mark.parametrize("text, arity, token", [
-        ("x999999999", None, "x999999999"), ("x1", 10 ** 6, "1000000"),
-        ("x65", None, "x65"), ("x1/(x70)", None, "x70"),
-        ("x1^99999", None, "99999"), ("x1^40000x2^40000", None, "40000"),
-        ("x1^65535x2", None, "x2"), ("2*", None, "'*'"),
-        ("2*x1 + 3*/(x1)", None, "'/'"),
-        # Arabic-Indic digits are not decimal digits of the grammar
-        ("x\u0663^\u0662", None, "'x' (at position 0)"),
-        ("x1\u00a0+ x2", None, "'\\xa0' (at position 2)"),
-        ("(x1)/(x1-x1)", None, "form x1-x1 (at position 6)")])
-    def test_parse_bounds(self, text, arity, token):
-        with pytest.raises(ParseError, match=re.escape(token)):
-            parse(text, arity)
-
-    def test_parse_at_the_bounds(self):
-        assert parse("x64").arity == MAX_ARITY
-        assert parse("x1", MAX_ARITY).arity == MAX_ARITY
-        assert parse("x1^65535").num.degree() == _MASK
-        assert parse("x1^65534x2").num.degree() == _MASK
-        assert parse("x1^0003 + x1^3").text() == "(2*x1^3)"
 
 
 class TestSumHelper:
@@ -1249,7 +1158,7 @@ class TestMonomialBoundary:
     def test_partial_out_of_range_raises(self, i):
         # the denominator forms are read at i, so i is checked first
         with pytest.raises(ArityMismatch):
-            rf("x2/(x1)", 2).partial(i)
+            parse("x2/(x1)", 2).partial(i)
 
     def test_negative_power_of_a_variable_raises(self):
         with pytest.raises(ValueError):
@@ -1358,10 +1267,10 @@ class TestPacking:
             top.mul_form((1, -1, 1))
         # clearing a sum to its common denominator multiplies by x2
         with pytest.raises(ExponentOverflow):
-            rf_sum_a(2, [RationalFunction.from_poly(top), rf("1/(x2)", 2)])
+            rf_sum_a(2, [RationalFunction.from_poly(top), parse("1/(x2)", 2)])
         with pytest.raises(ExponentOverflow):
             coefficient_rows([RationalFunction.from_poly(top),
-                              rf("1/(x2-x1)", 2)])
+                              parse("1/(x2-x1)", 2)])
 
 
 @st.composite

@@ -1,7 +1,6 @@
 import pytest
 
-from dshuffle.ratfun import (PoleOrderError, RationalFunction, linear_form,
-                             parse)
+from dshuffle.ratfun import PoleOrderError, RationalFunction, linear_form
 from dshuffle.series import (ihara_bracket_component, plus_truncate,
                              series_ihara_bracket)
 from dshuffle.resflt import (R, highest_weight_h, iterated_R, res_nabla,
@@ -11,6 +10,7 @@ from dshuffle.gens import psi_minus_one, psi_odd, psi_odd_component, z3
 from dshuffle.anatomy import evaluate, solve_sigma
 
 from conftest import mono
+from textform import parse
 
 
 class TestR:

@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from dshuffle import series
 from dshuffle.cli import emit
 from dshuffle.rationals import QQ
-from dshuffle.ratfun import (Polynomial, RationalFunction, linear_form, parse,
+from dshuffle.ratfun import (Polynomial, RationalFunction, linear_form,
                              rf_sum_a)
 from dshuffle.series import (DepthSeries, cyclic_sum,
                              dihedral_bracket, ihara_action_component,
@@ -19,12 +19,12 @@ from dshuffle.gens import (chi, mu_minus, mu_plus, nu_series, psi_minus_one,
 
 from conftest import (agrees_pointwise, make_rng, mono, random_poly,
                       random_rf, spy_substitutions)
+from textform import parse
 
 
 class TestCoordinates:
     def test_reduce_square(self):
         # (y1 - y0)^2 reduces to x1^2
-        y = parse("y", 2) if False else None
         f = parse("x2^2 + -2*x1^1x2^1 + x1^2", 2)  # (y1-y0)^2, slots y0 y1
         assert reduce_y(f).equals(mono(2))
 
