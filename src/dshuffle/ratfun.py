@@ -47,37 +47,39 @@ sort key (total degree, exponent tuple).
 
 Kernels:
   * Kernels combine packed keys by integer arithmetic.  Multiplying by
-    x_i adds the key of x_i, unit_i = 2^(16*(d + 1 - i)) + 1 (a form
-    multiplication, a Horner step, a division carry); a product of
+    x_i adds the key of x_i, unit_i = 2^(16*(d + 1 - i)) + 1; a product of
     monomials is the sum of their keys; the exponent of x_i is
     key >> 16*(d + 1 - i) & _MASK, so a layer in a pivot variable is a
-    shift and a mask; re-embedding and relabelling move fields.  Only a
-    product, a form multiplication and the clearing of a sum to a common
-    denominator can raise the degree; each checks the degree of its
-    inputs first, so no field ever carries into its neighbour.  Every
-    other kernel (Horner substitution, relabelling, exact division,
-    derivative) yields terms of at most the input's degree, and the
-    total degree bounds every field.
+    shift and a mask; re-embedding, relabelling and shears move fields.
+    Only a product, a form multiplication and the clearing of a sum can
+    raise the degree; each checks the degree of its inputs first, so no
+    field ever carries into its neighbour.  Every other kernel keeps the
+    input's degree, which bounds every field.
   * Every kernel works on the integer terms; a rational operation runs
     once per polynomial, on the content.  A sum is taken over a common
     content, the gcd of the summands' content numerators over the lcm of
     their denominators, and one gcd pass over its integer terms restores
     gcd 1; a derivative, a substitution and a homogeneous part get the
-    same gcd pass.
-    By Gauss's lemma a product of primitive polynomials is primitive, so
-    a product, a product by a canonical form and an exact quotient by one
-    need no gcd pass.
-  * Affine substitution has one path with two kernels, chosen from the
-    images, which are integer coefficient tuples.  When every image is a
-    single variable x_j with coefficient 1, or zero, the monomials are
-    relabelled: exponents move to their new slots, terms that land on one
-    monomial are merged and a monomial that uses a zero image is dropped.
-    Any other images run a Horner scheme over the source variables whose
-    every step multiplies integer terms by an integer form.
-  * condition_rows turns linear conditions given by ring maps into
-    integer rows without substituting a value: one form product per
+    same gcd pass.  By Gauss's lemma a product of primitive polynomials
+    is primitive, so a product, a product by a canonical form and an
+    exact quotient by one need no gcd pass.
+  * Affine substitution has three kernels, chosen from the images,
+    which are checked once to be int tuples of the target arity.  Images
+    that are each x_j or zero relabel the monomials: exponents move to
+    their new slots, terms that meet are merged and a monomial that uses
+    a zero image is dropped.  The sharp map P: x_i -> x_1 + .. + x_i runs
+    as the binomial shears x_j -> x_j + x_(j-1), j = n .. 2, a chain of
+    Taylor shifts (von zur Gathen & Gerhard, ISSAC 1997).  Other images
+    run Horner's scheme over the source variables, each step a product
+    of int terms by an int form.  A denominator form's image is built in
+    ints and divided by the gcd of its entries; the gcds make one scalar.
+  * A sum is cleared to its common denominator by shared forms, a greedy
+    multivariate Horner scheme (Ceberio & Kreinovich, ACM SIGSAM Bull.
+    38, 2004): the form that most summands lack multiplies their cleared
+    sum once.  condition_rows turns linear conditions given by ring maps
+    into integer rows without substituting a value: one form product per
     ansatz monomial builds its image under a map, and each term relabels
-    the images and clears them by its cofactor, as _over clears a sum.
+    the images and clears them by its cofactor.
   * A substituted value is normalized again (its numerator divided by
     each denominator form that divides it) only when the images' linear
     parts are dependent, e.g. x_a -> x_b, a zero image or a repeated letter.
@@ -93,19 +95,9 @@ Kernels:
     coefficient other than 1 each layer is divided by divmod, and a
     nonzero remainder proves that the form does not divide.
   * Divisibility by a form is pretested modulo the prime p = 2^61 - 1
-    on the line through a fixed point along the form's pivot variable.
-    There the integer terms (no denominator for p to divide) collapse to
-    a polynomial in the pivot and the form to a linear factor, and the
-    multiplicity of its root bounds how often the form divides; a pivot
-    coefficient that p divides gives no bound.  The bound is read once
-    per numerator and form, and each attempted division spends one unit
-    of it.  Distinct canonical forms are coprime, so the numerator and
-    every quotient it is divided into share one pretest.  Each term's
-    value at the point is reduced mod p once; a pivot's layer adds up
-    the values of each exponent e of the pivot and multiplies each of
-    these sums once by x_v^-e, so a layer costs one pass over the terms
-    and one product per exponent.  The pretest only decides whether an
-    exact division is attempted, never its outcome, so it cannot change a
+    on the line through a fixed point along the form's pivot variable
+    (_DivisibilityTester).  The pretest only decides whether an exact
+    division is attempted, never its outcome, so it cannot change a
     result.
     The point must be generic for the numerators built here, which are
     sums of products of differences with small integer coefficients.  On
@@ -140,9 +132,10 @@ Kernels:
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from itertools import accumulate
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 from .rationals import QQ, ZERO, ONE, PRIME, rat_str
 
@@ -183,29 +176,32 @@ class ParseError(ValueError):
     """A JSON value that is not a valid serialized form."""
 
 
+def clipped(value):
+    """The repr of a rejected value for an error message, cut to 60
+    characters: a JSON value can be arbitrarily long."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 
 
 class _Terms(Mapping):
-    """Read-only view Monomial -> rational coefficient of a Polynomial."""
+    """Read-only view Monomial -> rational coefficient of a Polynomial p;
+    its len and keys cost no rational arithmetic."""
 
-    __slots__ = ("_arity", "_content", "_ints")
-
-    def __init__(self, arity, content, ints):
-        self._arity = arity
-        self._content = content
-        self._ints = ints
+    def __init__(self, p):
+        self.p = p
 
     def __getitem__(self, m):
-        return self._content * self._ints[_pack(self._arity, m)]
+        return self.p.content * self.p.ints[_pack(self.p.arity, m)]
 
     def __iter__(self):
-        arity = self._arity
-        return (_unpack(arity, k) for k in self._ints)
+        return (_unpack(self.p.arity, k) for k in self.p.ints)
 
     def __len__(self):
-        return len(self._ints)
+        return len(self.p.ints)
 
 
 class Polynomial:
@@ -254,7 +250,7 @@ class Polynomial:
     @property
     def terms(self):
         """The coefficients as a read-only dict-like Monomial -> rational."""
-        return _Terms(self.arity, self.content, self.ints)
+        return _Terms(self)
 
     def coefficient(self, m):
         """The rational coefficient of the monomial m (0 when absent)."""
@@ -365,28 +361,12 @@ class Polynomial:
     # -- substitution and evaluation
 
     def substitute_affine(self, images, target_arity):
-        """Compose with x_i -> images[i-1], each an integer coefficient
-        tuple (c0, c1, .., cD) of an affine form in target_arity
-        variables."""
-        if len(images) != self.arity:
-            raise ArityMismatch("need one image per variable")
-        if not self.ints:
-            return Polynomial(target_arity)
-        targets = []
-        for img in images:
-            support = [j for j, c in enumerate(img) if c]
-            if not support:
-                targets.append(0)
-            elif len(support) == 1 and support[0] and img[support[0]] == 1:
-                targets.append(support[0])
-            else:
-                break
-        else:
-            return _primitive(target_arity, self.content,
-                              _relabel(self.ints, _relabelling(
-                                  self.arity, targets, target_arity)))
-        return _primitive(target_arity, self.content,
-                          _horner(self.ints, self.arity, images, target_arity))
+        """Compose with x_i -> images[i-1], each an integral coefficient
+        tuple (c0, c1, .., cD) of an affine form in D = target_arity
+        variables; a missing image or one of another length raises
+        ArityMismatch, a non-integral entry ValueError."""
+        return _substitute(self, _checked(images, self.arity, target_arity),
+                           target_arity)
 
     def evaluate(self, point):
         """Evaluate at a tuple of rationals."""
@@ -406,8 +386,8 @@ class Polynomial:
     def divide_form(self, form, tester=None):
         """Exact division by an affine form; returns the quotient or None.
 
-        The form must be canonical (see form_normalize); in particular it
-        is primitive and its pivot coefficient is a positive integer.
+        The form must be canonical (see the module docstring): primitive,
+        with a positive pivot coefficient.
         tester, a _DivisibilityTester, lets callers share one pretest
         across forms and divisions: it may belong to this polynomial, or
         to a multiple of it by forms that it has since been divided by
@@ -432,11 +412,8 @@ class Polynomial:
         if not tester.may_divide(form):
             return None
         # form = cv*x_v - h  with h affine in the remaining variables; the
-        # layer q_k of the quotient sends h*q_k down to the next layer.  A
-        # quotient by a primitive form is integral (Gauss's lemma), so a
-        # layer that cv does not divide proves that the form does not.
-        # No key can overflow: every intermediate term has at most the
-        # degree of the dividend.
+        # layer q_k of the quotient sends h*q_k down to the next layer.  No
+        # key can overflow: no term exceeds the degree of the dividend.
         h = tuple(-c for c in form[:v]) + (0,) * (arity + 1 - v)
         layers = _layers(self.ints, s)
         carry = {}
@@ -519,8 +496,8 @@ def _pack(arity, m):
         key = (key + e) << _W
         deg += e
     if deg > _MASK:
-        raise ExponentOverflow("total degree %d of %r exceeds %d"
-                               % (deg, m, _MASK))
+        raise ExponentOverflow("total degree %s of %s exceeds %d"
+                               % (clipped(deg), clipped(m), _MASK))
     return key + deg
 
 
@@ -687,6 +664,54 @@ def _layers(ints, s):
     return layers
 
 
+def _checked(images, arity, target_arity):
+    """The images as int tuples, after checking that there is one per
+    variable, of length target_arity + 1 with integral entries."""
+    out = [tuple(map(int, img)) for img in images]
+    if len(out) != arity:
+        raise ArityMismatch("need one image per variable")
+    for img, ints in zip(images, out):
+        if len(ints) != target_arity + 1:
+            raise ArityMismatch("image %s does not have length %d"
+                                % (clipped(img), target_arity + 1))
+        if ints != img and ints != tuple(img):
+            raise ValueError("image %s is not integral" % clipped(img))
+    return out
+
+
+def _substitute(p, images, target_arity):
+    """p composed with checked images by the kernel that they select."""
+    if not p.ints:
+        return Polynomial(target_arity)
+    n = target_arity
+    # x_j (its one 1 at j > 0, n zeros) or zero (n + 1 zeros)
+    targets = [img.index(1) if 1 in img else 0 for img in images]
+    if all(img.count(0) == n + (not j) for img, j in zip(images, targets)):
+        return _primitive(n, p.content, _relabel(
+            p.ints, _relabelling(p.arity, targets, n)))
+    if images == [(0,) + (1,) * i + (0,) * (n - i) for i in range(1, n + 1)]:
+        # P is invertible over the integers, so it keeps ints primitive
+        return _poly(n, p.content, _shears(p.ints, n))
+    return _primitive(n, p.content, _horner(p.ints, p.arity, images, n))
+
+
+def _shears(ints, n):
+    """ints o P in arity n by shears (see the module docstring): x_j^b
+    becomes sum C(b, i) x_j^(b-i) x_(j-1)^i, i exponents moved up."""
+    rows = [[comb(b, i) for i in range(b + 1)]
+            for b in range(_degree(ints) + 1)]
+    for s in range(_W, _W * n, _W):
+        move = (1 << s + _W) - (1 << s)
+        out = {}
+        get = out.get
+        for k, c in ints.items():
+            for i, ci in enumerate(rows[k >> s & _MASK]):
+                m = k + i * move
+                out[m] = get(m, 0) + c * ci
+        ints = {m: c for m, c in out.items() if c}
+    return ints
+
+
 def _horner(ints, arity, images, target_arity):
     """Affine substitution of integer images by Horner's scheme in the
     last source variable x_arity: (..(p_top*img + p_(top-1))*img + ..)*img
@@ -720,48 +745,21 @@ def _form_pivot(form):
     raise ValueError("constant form cannot appear in a denominator")
 
 
-def form_normalize(coeffs):
-    """Canonicalize an affine form given as rational or integer coefficients.
-
-    Returns (scalar, form) with scalar a rational and form a primitive
-    integer tuple whose highest-index nonzero entry is positive, so that
-    input = scalar * form.  Returns (0, None) for the zero form and
-    (c, ()) for the nonzero constant c.
-    """
-    scalar, ints = _split(coeffs)
-    if not scalar:
-        return ZERO, None
-    if not any(ints[1:]):
-        return scalar * ints[0], ()
-    if ints[_form_pivot(ints)] < 0:
-        return -scalar, tuple(-v for v in ints)
-    return scalar, tuple(ints)
-
-
 def linear_form(a, b, arity):
     """The canonical form x_a - x_b (b = 0 encodes plain x_a)."""
     if not (0 <= b < a <= arity):
         raise ArityMismatch("need 0 <= b < a <= arity, got a=%d b=%d" % (a, b))
-    coeffs = [0] * (arity + 1)
-    coeffs[a] = 1
-    if b:
-        coeffs[b] = -1
-    return tuple(coeffs)
+    return diff_vector(arity, a, b)
 
 
 def form_difference_pair(form):
     """(a, b) if the form is x_a - x_b (or x_a when b = 0), else None."""
-    if form[0] != 0:
+    if form[0] != 0 or any(c not in (-1, 0, 1) for c in form):
         return None
-    pos = [i for i in range(1, len(form)) if form[i] == 1]
-    neg = [i for i in range(1, len(form)) if form[i] == -1]
-    other = [i for i in range(1, len(form)) if form[i] not in (-1, 0, 1)]
-    if other:
-        return None
-    if len(pos) == 1 and not neg:
-        return pos[0], 0
-    if len(pos) == 1 and len(neg) == 1:
-        return pos[0], neg[0]
+    pos = [i for i, c in enumerate(form) if c == 1]
+    neg = [i for i, c in enumerate(form) if c == -1]
+    if len(pos) == 1 and len(neg) <= 1:
+        return pos[0], neg[0] if neg else 0
     return None
 
 
@@ -783,44 +781,32 @@ def form_text(form):
     return out[1:] if out.startswith("+") else out
 
 
-def form_substitute(form, images, target_arity):
-    """Substitute affine images (coefficient tuples) into a form.
-
-    images[i-1] is the coefficient tuple (c0, c1, .., cD) of the image of
-    x_i.  Returns (scalar, canonical form or None).
-    """
-    out = [form[0]] + [0] * target_arity
-    for i in range(1, len(form)):
-        if not form[i]:
-            continue
-        img = images[i - 1]
-        for j in range(len(img)):
-            out[j] += form[i] * img[j]
-    return form_normalize(out)
-
-
 def _den_image(den, images, target_arity):
-    """(scalar, counts), the forms of den (form -> power) under the images
-    as in RationalFunction.substitute_affine."""
-    scalar = ONE
+    """(scalar, counts), the forms of den (form -> power) under the int
+    images, each made canonical; a constant image joins the scalar."""
+    scalar = 1
     counts = {}
     for f, k in den.items():
-        s, g = form_substitute(f, images, target_arity)
-        if g is None:
+        out = [f[0]] + [0] * target_arity
+        for c, img in zip(f[1:], images):
+            if c:
+                out = [a + c * x for a, x in zip(out, img)]
+        g = gcd(*out)
+        if not g:
             raise PoleOrderError(
                 "denominator form %s becomes identically zero" % form_text(f))
-        scalar *= s ** k
-        if g:
-            counts[g] = counts.get(g, 0) + k
-    return scalar, counts
+        if next((x for x in out[:0:-1] if x), out[0]) < 0:
+            g = -g
+        scalar *= g ** k
+        if any(out[1:]):
+            out = tuple(x // g for x in out)
+            counts[out] = counts.get(out, 0) + k
+    return QQ(scalar), counts
 
 
 def var_vector(arity, i, negate=False):
     """Integer coefficient tuple of x_i (or -x_i; i = 0 gives 0)."""
-    vec = [0] * (arity + 1)
-    if i:
-        vec[i] = -1 if negate else 1
-    return tuple(vec)
+    return diff_vector(arity, 0, i) if negate else diff_vector(arity, i, 0)
 
 
 def diff_vector(arity, i, j):
@@ -858,10 +844,7 @@ class RationalFunction:
         """den: iterable of canonical forms, or dict form -> multiplicity."""
         arity = num.arity
         counts = {}
-        if isinstance(den, dict):
-            items = den.items()
-        else:
-            items = ((f, 1) for f in den)
+        items = den.items() if isinstance(den, dict) else ((f, 1) for f in den)
         for f, k in items:
             if k < 0:
                 raise ValueError("negative multiplicity")
@@ -985,9 +968,6 @@ class RationalFunction:
     def __eq__(self, other):
         return isinstance(other, RationalFunction) and self.equals(other)
 
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("RationalFunction is not hashable")
-
     # -- calculus
 
     def partial(self, i):
@@ -1051,7 +1031,8 @@ class RationalFunction:
     # -- substitution
 
     def substitute_affine(self, images, target_arity):
-        """Compose with x_i -> affine image (integer coefficient tuples).
+        """Compose with x_i -> affine image (integral coefficient tuples of
+        length target_arity + 1, as for Polynomial.substitute_affine).
 
         Denominator forms are re-derived by factoring the substituted
         forms; a form substituting to zero raises PoleOrderError, and one
@@ -1059,10 +1040,9 @@ class RationalFunction:
         result is normalized again unless the value has no denominator or
         the images have independent linear parts (see the module docstring).
         """
-        if len(images) != self.arity:
-            raise ArityMismatch("need one affine image per variable")
+        images = _checked(images, self.arity, target_arity)
         scalar, counts = _den_image(self.den, images, target_arity)
-        num = self.num.substitute_affine(images, target_arity)
+        num = _substitute(self.num, images, target_arity)
         if scalar != 1:
             num = num.scale(ONE / scalar)
         if counts and not _independent(images):
@@ -1073,12 +1053,11 @@ class RationalFunction:
 
     def extended(self, target_arity, offset=0):
         """View in a larger ring, with variables shifted up by offset."""
-        num = self.num.extended(target_arity, offset)
-        den = {}
-        for f, k in self.den.items():
-            nf = (f[0],) + (0,) * offset + f[1:] + (0,) * (target_arity - self.arity - offset)
-            den[nf] = k
-        return RationalFunction(target_arity, num, den)
+        pad = (0,) * (target_arity - self.arity - offset)
+        den = {(f[0],) + (0,) * offset + f[1:] + pad: k
+               for f, k in self.den.items()}
+        return RationalFunction(target_arity,
+                                self.num.extended(target_arity, offset), den)
 
     def evaluate(self, point):
         """Exact evaluation at a rational point off the polar locus."""
@@ -1140,26 +1119,27 @@ class RationalFunction:
     def from_json_dict(cls, data):
         arity = data["arity"]
         if not (type(arity) is int and 0 <= arity <= MAX_ARITY):
-            raise ParseError("arity %r is not an integer from 0 to %d"
-                             % (arity, MAX_ARITY))
+            raise ParseError("arity %s is not an integer from 0 to %d"
+                             % (clipped(arity), MAX_ARITY))
         terms = {}
         for entry in data["num"]:
             if not (type(entry) is list and len(entry) == 3
                     and type(entry[2]) is list):
-                raise ParseError("numerator term %r is not a list [p, q, "
-                                 "exponents]" % (entry,))
+                raise ParseError("numerator term %s is not a list [p, q, "
+                                 "exponents]" % clipped(entry))
             p, q, exps = entry
             if not (type(p) is int and type(q) is int and p and q):
-                raise ParseError("coefficient %r/%r is not a ratio of nonzero "
-                                 "integers" % (p, q))
+                raise ParseError("coefficient %s/%s is not a ratio of nonzero "
+                                 "integers" % (clipped(p), clipped(q)))
             if len(exps) != arity:
-                raise ParseError("exponents %r do not have length %d"
-                                 % (exps, arity))
+                raise ParseError("exponents %s do not have length %d"
+                                 % (clipped(exps), arity))
             if not all(type(e) is int and e >= 0 for e in exps):
-                raise ParseError("exponents %r are not non-negative integers"
-                                 % (exps,))
+                raise ParseError("exponents %s are not non-negative integers"
+                                 % clipped(exps))
             if tuple(exps) in terms:
-                raise ParseError("exponents %r appear in two terms" % (exps,))
+                raise ParseError("exponents %s appear in two terms"
+                                 % clipped(exps))
             terms[tuple(exps)] = QQ(p, q)
         den = []
         for pair in data["den"]:
@@ -1167,9 +1147,9 @@ class RationalFunction:
             if not (type(pair) is list and len(pair) == 2
                     and all(type(i) is int for i in pair)
                     and 0 <= pair[1] < pair[0] <= arity):
-                raise ParseError("denominator %r is not a pair a, b of "
+                raise ParseError("denominator %s is not a pair a, b of "
                                  "integers with 0 <= b < a <= %d"
-                                 % (pair, arity))
+                                 % (clipped(pair), arity))
             den.append(linear_form(pair[0], pair[1], arity))
         return cls.from_num_den(Polynomial(arity, terms), den)
 
@@ -1185,7 +1165,9 @@ class _DivisibilityTester:
     divides the layer mod p, so the multiplicity of the root -a/b in the
     layer bounds k; a layer that vanishes mod p has the degree of N in
     x_v, its length - 1, as the bound.  With b = 0 mod p there is no
-    bound.  The reduction waits for the first form tested.
+    bound.  The reduction waits for the first form tested; each term's
+    value is reduced once, and a layer multiplies the sum of each
+    exponent e of x_v once by x_v^-e.
 
     A form's bound is read once, the first time it is asked about, and
     may_divide spends one unit of it each time it answers True.  Distinct
@@ -1356,16 +1338,35 @@ def _common_den(dens):
     return common
 
 
-def _over(ints, den, common):
-    """The integer terms ints over den written over the common
-    denominator: ints times each form that den lacks."""
-    extra = sum(common.values()) - sum(den.values())
-    if extra:
-        _check_degree(ints, extra)
-    for f, k in common.items():
-        for _ in range(k - den.get(f, 0)):
+def _part(ints, k, den, common):
+    """(ints, k, the forms of common that den lacks, with repeats) for
+    k * ints / den: clearing raises the degree of ints by their number."""
+    missing = [f for f, n in common.items() for _ in range(n - den.get(f, 0))]
+    if missing:
+        _check_degree(ints, len(missing))
+    return ints, k, missing
+
+
+def _cleared(parts):
+    """The integer terms of the sum of k * ints * prod(missing) over the
+    parts of _part, whose missing lists it empties, cleared by shared
+    forms (see the module docstring); the largest form wins a tie."""
+    total = {}
+    while len(parts) > 1:
+        tally = Counter(f for _, _, missing in parts for f in set(missing))
+        if not tally:
+            break
+        form = max(tally, key=lambda f: (tally[f], f))
+        group = [part for part in parts if form in part[2]]
+        parts = [part for part in parts if form not in part[2]]
+        for part in group:
+            part[2].remove(form)
+        _accumulate(total, _times_form(_cleared(group), form))
+    for ints, k, missing in parts:
+        for f in missing:
             ints = _times_form(ints, f)
-    return ints
+        _accumulate(total, ints, k)
+    return total
 
 
 def _rows(columns, weights):
@@ -1395,9 +1396,8 @@ def rf_sum_a(arity, values):
             if k == common[f]:
                 holders[f] += 1
     content, factors = _split([v.num.content for v in values])
-    total = {}
-    for v, k in zip(values, factors):
-        _accumulate(total, _over(v.num.ints, v.den, common), k)
+    total = _cleared([_part(v.num.ints, k, v.den, common)
+                      for v, k in zip(values, factors)])
     return RationalFunction._normalized(
         arity, _primitive(arity, content, total), dict(common),
         [f for f, n in holders.items() if n > 1])
@@ -1415,8 +1415,8 @@ def coefficient_rows(values):
     """
     common = _common_den(v.den for v in values)
     _, factors = _split([v.num.content for v in values])
-    return _rows([_over(v.num.ints, v.den, common) for v in values],
-                 factors)
+    return _rows([_cleared([_part(v.num.ints, 1, v.den, common)])
+                  for v in values], factors)
 
 
 # ---------------------------------------------------------------------------
@@ -1511,7 +1511,7 @@ def condition_rows(arity, exps, conditions, den):
         parts = []
         for weight, forms, image, moves in terms:
             # C / D_t, the forms of C that the term's image of D lacks
-            cofactor = _over({0: 1}, forms, common)
+            cofactor = _cleared([_part({0: 1}, 1, forms, common)])
             _check_degree(cofactor, degree)
             parts.append(((weight * scale).numerator,
                           cofactor if cofactor != {0: 1} else None,

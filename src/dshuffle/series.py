@@ -31,7 +31,7 @@ from functools import lru_cache
 
 from .rationals import QQ, ZERO, ONE, rat_from_str, rat_str
 from .ratfun import (MAX_ARITY, ArityMismatch, ParseError, RationalFunction,
-                     diff_vector, rf_sum_a, var_vector)
+                     clipped, diff_vector, rf_sum_a, var_vector)
 
 
 class TranslationError(ValueError):
@@ -159,28 +159,28 @@ class DepthSeries:
     def from_json_dict(cls, data):
         max_depth = data["max_depth"]
         if not (type(max_depth) is int and 0 <= max_depth <= MAX_ARITY):
-            raise ParseError("max_depth %r is not an integer from 0 to %d"
-                             % (max_depth, MAX_ARITY))
+            raise ParseError("max_depth %s is not an integer from 0 to %d"
+                             % (clipped(max_depth), MAX_ARITY))
         comps = {}
         for d, f in data["components"].items():
             if not (d.isascii() and d.isdigit() and int(d) > 0):
-                raise ParseError("component key %r is not a positive depth"
-                                 % (d,))
+                raise ParseError("component key %s is not a positive depth"
+                                 % clipped(d))
             if int(d) > max_depth:
-                raise ParseError("component key %r is beyond max_depth %d"
-                                 % (d, max_depth))
+                raise ParseError("component key %s is beyond max_depth %d"
+                                 % (clipped(d), max_depth))
             comps[int(d)] = RationalFunction.from_json_dict(f)
         weight = data.get("weight")
         if not (weight is None or type(weight) is int):
-            raise ParseError("weight %r is not an integer" % (weight,))
+            raise ParseError("weight %s is not an integer" % clipped(weight))
         const = data.get("const", "0")
         if not (type(const) is str and _RATIONAL.fullmatch(const)):
-            raise ParseError("const %r is not p or p/q with q nonzero"
-                             % (const,))
+            raise ParseError("const %s is not p or p/q with q nonzero"
+                             % clipped(const))
         complete = data.get("complete", False)
         if type(complete) is not bool:
-            raise ParseError("complete %r is not true or false"
-                             % (complete,))
+            raise ParseError("complete %s is not true or false"
+                             % clipped(complete))
         return cls(comps, max_depth, weight=weight,
                    const=rat_from_str(const), complete=complete)
 

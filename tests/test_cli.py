@@ -214,6 +214,17 @@ class TestBracketRes:
                               "--depth", str(MAX_ARITY))
         assert (code, out) == (0, "(1)\n")
 
+    @pytest.mark.parametrize("term", [[1, 1, [0] * 10 ** 6], [0] * 10 ** 6])
+    def test_res_huge_rejected_value_is_clipped(self, capsys, tmp_path, term):
+        # a term of 10^6 ints is named by the start of its repr, not whole
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"max_depth": 1, "components": {
+            "1": {"arity": 1, "num": [term], "den": []}}}))
+        code, out, err = invoke(capsys, "res", "--element", str(path),
+                                "--depth", "1")
+        assert_usage_error(code, out, err)
+        assert len(err.encode()) < 300 and "..." in err
+
     @pytest.mark.parametrize("depth", ["0", "-1", "-5"])
     def test_res_depth_below_one(self, capsys, tmp_path, depth):
         # a depth below 1 names no component

@@ -321,3 +321,14 @@ class TestMembership:
     def test_summary_line(self):
         reps = is_in_pdmr(psi_odd(1, 3), 3)
         assert summary_line(reps) == "all %d checks passed" % len(reps)
+
+
+@pytest.mark.slow
+class TestSlowDepthSix:
+    """The first depth-6 membership pins (about 20 s on two cores): the
+    sharp (1,5) and (2,4) shuffle sums of psi3 vanish.  (3,3) takes about
+    a minute and is left out.  Run with pytest -m slow."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_psi3_sharp_shuffle(self, p):
+        assert check_shuffle(psi_odd_component(1, 6), p, 6 - p).passed

@@ -14,16 +14,34 @@ from dshuffle.rationals import PRIME, QQ
 from dshuffle.ratfun import (_MASK, MAX_ARITY, ArityMismatch,
                              ExponentOverflow, ParseError, PoleOrderError,
                              Polynomial, RationalFunction,
-                             _DivisibilityTester, _cancel, _pretest_point,
-                             _split, _unpack,
-                             coefficient_rows, form_normalize, linear_form,
+                             _DivisibilityTester, _accumulate, _cancel,
+                             _den_image, _horner, _pretest_point, _primitive,
+                             _shears, _split, _times_form, _unpack,
+                             coefficient_rows, form_text, linear_form,
                              rf_sum_a, var_vector)
+from dshuffle.dsh_check import prefix_images
 from dshuffle.gens import psi_zero_component, s_d
 from dshuffle.series import ihara_action_component
 
 from conftest import (agrees_pointwise, clear_program_caches, make_rng, mono,
                       random_rf)
 from textform import parse
+
+
+def form_normalize(coeffs):
+    """(scalar, form) with coeffs = scalar * form for rational or integer
+    coefficients, form a primitive integer tuple whose highest-index
+    nonzero entry is positive; (0, None) for the zero form and (c, ())
+    for the nonzero constant c.  The rational reference of the integer
+    form images of substitution (_den_image)."""
+    scalar, ints = _split([QQ(c) for c in coeffs])
+    if not scalar:
+        return QQ(0), None
+    if not any(ints[1:]):
+        return scalar * ints[0], ()
+    if [c for c in ints[1:] if c][-1] < 0:
+        return -scalar, tuple(-v for v in ints)
+    return scalar, tuple(ints)
 
 
 class TestAdd:
@@ -1358,6 +1376,160 @@ class TestSympyOracles:
                 {u: img[0] + sum(c * x for c, x in zip(img[1:], xs))
                  for u, img in zip(us, images)}, simultaneous=True)
         assert_cancel_agrees(g, expr)
+
+
+def flat_columns(values):
+    """(factors, columns): each value's integer terms times every form of
+    the common denominator that it lacks, one form at a time, and the
+    factors that put the values' contents over a common one."""
+    common = {}
+    for v in values:
+        for f, k in v.den.items():
+            common[f] = max(common.get(f, 0), k)
+    columns = []
+    for v in values:
+        ints = v.num.ints
+        for f, n in common.items():
+            for _ in range(n - v.den.get(f, 0)):
+                ints = _times_form(ints, f)
+        columns.append(ints)
+    return common, _split([v.num.content for v in values]), columns
+
+
+def flat_sum(arity, values):
+    """The sum cleared flat, summand by summand, then normalized against
+    every form: the reference of the clearing by shared forms."""
+    values = [v for v in values if not v.is_zero()]
+    if len(values) < 2:
+        return values[0] if values else RationalFunction.zero(arity)
+    common, (content, factors), columns = flat_columns(values)
+    total = {}
+    for k, ints in zip(factors, columns):
+        _accumulate(total, ints, k)
+    return RationalFunction._normalized(
+        arity, _primitive(arity, content, total), dict(common))
+
+
+def random_summands(seed, arity, count):
+    """conftest.random_rf values; with few forms per arity they share
+    forms at mixed multiplicities."""
+    rng = make_rng(seed)
+    return [random_rf(rng, arity, num_degree=rng.randint(0, 3),
+                      den_factors=rng.randint(0, 4), terms=rng.randint(1, 4))
+            for _ in range(count)]
+
+
+class TestClearingBySharedForms:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 9), st.integers(1, 4), st.integers(2, 7),
+           st.booleans())
+    def test_sum_equals_the_flat_clearing(self, seed, arity, count, cancel):
+        values = random_summands(seed, arity, count)
+        if cancel:
+            # minus the sum so far: the total then vanishes
+            values.append(-flat_sum(arity, values))
+        got = rf_sum_a(arity, values)
+        want = flat_sum(arity, values)
+        assert got.num == want.num and got.den == want.den
+        assert got.is_zero() or not cancel
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 9), st.integers(1, 4), st.integers(1, 6))
+    def test_coefficient_rows_keep_the_flat_columns(self, seed, arity, count):
+        values = random_summands(seed, arity, count)
+        _, (_, factors), columns = flat_columns(values)
+        assert coefficient_rows(values) == [
+            [k * ints.get(m, 0) for k, ints in zip(factors, columns)]
+            for m in sorted(set().union(*columns))]
+
+
+class TestIntegerSubstitutionKernels:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_shears_equal_horner_on_the_sharp_map(self, data):
+        n = data.draw(st.integers(1, 6))
+        p = data.draw(sharing_polynomials(n))
+        images = list(prefix_images(n))
+        assume(p)
+        assert _shears(p.ints, n) == _horner(p.ints, n, images, n)
+        got = p.substitute_affine(images, n)
+        assert_canonical(got)
+        assert got == _primitive(n, p.content, _horner(p.ints, n, images, n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_den_image_equals_the_rational_form_images(self, data):
+        arity = data.draw(st.integers(1, 4))
+        target = data.draw(st.integers(1, 4))
+        coeff = st.integers(-3, 3)
+        den = {}
+        for _ in range(data.draw(st.integers(1, 4))):
+            coeffs = [data.draw(coeff) for _ in range(arity + 1)]
+            assume(any(coeffs[1:]))
+            form = form_normalize(coeffs)[1]
+            den[form] = den.get(form, 0) + data.draw(st.integers(1, 3))
+        images = [tuple(data.draw(coeff) for _ in range(target + 1))
+                  for _ in range(arity)]
+        scalar, counts = QQ(1), {}
+        zero = None
+        for f, k in den.items():
+            out = [QQ(f[0])] + [QQ(0)] * target
+            for c, img in zip(f[1:], images):
+                out = [a + c * x for a, x in zip(out, img)]
+            s, g = form_normalize(out)
+            if g is None:
+                zero = zero or f
+                continue
+            scalar *= s ** k
+            if g:
+                counts[g] = counts.get(g, 0) + k
+        if zero is not None:
+            with pytest.raises(PoleOrderError, match=re.escape(
+                    "denominator form %s becomes identically zero"
+                    % form_text(zero))):
+                _den_image(den, images, target)
+            return
+        got = _den_image(den, images, target)
+        assert type(got[0]) is QQ
+        assert got == (scalar, counts)
+
+    def test_den_image_of_a_constant_and_a_zero_form(self):
+        # x2 - x1 under x1 -> x3 + 2, x2 -> x3 is the constant -2, squared
+        # into the scalar; x1 becomes the form x3 + 2
+        den = {linear_form(2, 1, 2): 2, linear_form(1, 0, 2): 1}
+        assert _den_image(den, [(2, 0, 0, 1), (0, 0, 0, 1)], 3) == \
+            (4, {(2, 0, 0, 1): 1})
+        with pytest.raises(PoleOrderError, match="^denominator form x2-x1 "
+                           "becomes identically zero$"):
+            _den_image({linear_form(2, 1, 2): 1}, [(0, 0, 0, 1)] * 2, 3)
+
+
+class TestSubstitutionBoundary:
+    VALUES = [parse("x1^2/(x1-x2)", 2), parse("x1^2/(x1-x2)", 2).num]
+
+    @pytest.mark.parametrize("value", VALUES, ids=["ratfun", "poly"])
+    def test_image_of_the_wrong_length(self, value):
+        # (0, 1) at target arity 2 is not read as if zero-padded
+        with pytest.raises(ArityMismatch, match=re.escape("(0, 1)")):
+            value.substitute_affine([(0, 1), (0, 0, 1)], 2)
+
+    @pytest.mark.parametrize("value", VALUES, ids=["ratfun", "poly"])
+    def test_non_integral_image(self, value):
+        image = (0, QQ(1, 2), 0)
+        with pytest.raises(ValueError, match="not integral") as exc:
+            value.substitute_affine([image, (0, 0, 1)], 2)
+        assert repr(image) in str(exc.value)
+
+    @pytest.mark.parametrize("value", VALUES, ids=["ratfun", "poly"])
+    def test_integral_fractions_are_ints(self, value):
+        images = [(0, 1, 1), (0, 0, 2)]
+        got = value.substitute_affine(
+            [tuple(map(QQ, img)) for img in images], 2)
+        assert got == value.substitute_affine(images, 2)
+        num = got if isinstance(got, Polynomial) else got.num
+        assert all(type(c) is int for c in num.ints.values())
+        if isinstance(got, RationalFunction):
+            assert all(type(c) is int for f in got.den for c in f)
 
 
 class TestBoundary:
