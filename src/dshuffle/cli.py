@@ -37,9 +37,10 @@ def _load_series(path):
     with open(path) as handle:
         try:
             data = json.load(handle)
-        except RecursionError:
-            raise ValueError("%s is not a DepthSeries JSON file (nested too "
-                             "deeply)" % path) from None
+        except (RecursionError, ValueError) as exc:
+            cause = exc if isinstance(exc, ValueError) else "nested too deeply"
+            raise ValueError("%s is not a DepthSeries JSON file (%s)"
+                             % (path, cause)) from None
     try:
         return DepthSeries.from_json_dict(data)
     except (KeyError, TypeError, AttributeError) as exc:

@@ -6,11 +6,11 @@ The sharp substitutions produce widened affine denominators (sums of
 variables); these stay inside this module, since residuals are only
 compared against zero after clearing denominators.
 
-The sharp change of variables along a word w is the fixed prefix-sum map
-P: x_i -> x_1 + .. + x_i followed by the relabelling x_j -> x_(w_j), so
-f(sharp_w x) = perm_eval(f o P, w).  A check applies P to f once and
-relabels that image for each word; P is injective and the relabellings of
-a permutation are too, so every term is already a normalized value.
+The linearized double shuffle equations are defined only here, as the
+condition data that modforms solves (ratfun.condition_rows) and
+condition_value evaluates.  The sharp change of variables along a word w
+is P: x_i -> x_1 + .. + x_i, then x_j -> x_(w_j): f(sharp_w x) =
+perm_eval(f o P, w), a normalized value, as both maps are injective.
 """
 
 from __future__ import annotations
@@ -55,11 +55,6 @@ def prefix_images(n):
     return tuple((0,) + (1,) * i + (0,) * (n - i) for i in range(1, n + 1))
 
 
-def _prefix_sums(f):
-    """f o P, with P: x_i -> x_1 + .. + x_i."""
-    return f.substitute_affine(prefix_images(f.arity), f.arity)
-
-
 def perm_eval(f, word, target_arity=None):
     """f evaluated at permuted variables x_(w1), .., x_(wr)."""
     n = target_arity if target_arity is not None else f.arity
@@ -68,25 +63,55 @@ def perm_eval(f, word, target_arity=None):
 
 def sharp_eval(f, word):
     """f evaluated at the prefix sums of x along a word of indices."""
-    return perm_eval(_prefix_sums(f), word)
+    return perm_eval(f.substitute_affine(prefix_images(f.arity), f.arity),
+                     word)
 
 
-def _shuffle_sum(f, p, q, sharp):
-    """Sum over the shuffles w of (1..p) and (p+1..p+q) of f at
-    x_(w1), .., x_(wn), or of f at the prefix sums along w when sharp."""
+def _words(words, n, sharp):
+    """The condition sum of c * f(x_(w1), .., x_(wn)), or of c * f at the
+    prefix sums along w when sharp, over the items w -> c of words."""
+    pre = (prefix_images(n) if sharp
+           else tuple(var_vector(n, i) for i in range(1, n + 1)))
+    return [(c, pre, w) for w, c in words.items()]
+
+
+def linearized(p, q, sharp):
+    """The (p,q) linearized equation: the _words sum over the shuffles of
+    (1..p) and (p+1..p+q)."""
+    return _words(shuffle(range(1, p + 1), range(p + 1, p + q + 1)),
+                  p + q, sharp)
+
+
+def linearized_equations(n):
+    """The depth-n equations as (family, indices, condition): lin_stuffle
+    and lin_shuffle for each (p,q), p <= q, and in depth one the evenness
+    (f(x) - f(-x)) / 2 = 0 that the depth-two stuffle family forces."""
+    out = [("lin_shuffle" if sharp else "lin_stuffle", (p, n - p),
+            linearized(p, n - p, sharp))
+           for p in range(1, n // 2 + 1) for sharp in (False, True)]
+    if n == 1:
+        out.append(("parity", (1,), [(QQ(1, 2), ((0, 1),), (1,)),
+                                     (QQ(-1, 2), ((0, -1),), (1,))]))
+    return out
+
+
+def condition_value(f, condition):
+    """The value of a condition on f: the sum over its terms of weight *
+    (f o pre) relabelled by targets, f o pre substituted once per pre."""
     n = f.arity
-    if p + q != n:
-        raise ValueError("need p + q = arity")
-    u = tuple(range(1, p + 1))
-    v = tuple(range(p + 1, n + 1))
-    g = _prefix_sums(f) if sharp else f
-    return rf_sum_a(n, [perm_eval(g, w) for w in shuffle(u, v)])
+    images = {}
+    parts = []
+    for weight, pre, targets in condition:
+        if pre not in images:
+            images[pre] = f.substitute_affine(pre, n)
+        parts.append(perm_eval(images[pre], targets, n).scale(weight))
+    return rf_sum_a(n, parts)
 
 
 def check_shuffle(f, p, q):
     """(p,q) shuffle equation: sum over shuffles of the sharp evaluation."""
-    return EquationReport.from_residual("shuffle", (p, q),
-                                        _shuffle_sum(f, p, q, sharp=True))
+    return EquationReport.from_residual(
+        "shuffle", (p, q), condition_value(f, linearized(p, q, True)))
 
 
 def _stuffle_term_eval(series, term, arity):
@@ -131,8 +156,8 @@ def check_linearized(f, p, q, sharp):
     """(p,q) linearized equation, with or without the sharp change of
     variables."""
     family = "lin_shuffle" if sharp else "lin_stuffle"
-    return EquationReport.from_residual(family, (p, q),
-                                        _shuffle_sum(f, p, q, sharp))
+    return EquationReport.from_residual(
+        family, (p, q), condition_value(f, linearized(p, q, sharp)))
 
 
 def check_lambda_form(f, sharp):
@@ -141,11 +166,11 @@ def check_lambda_form(f, sharp):
     if n < 2:
         raise ValueError("needs arity >= 2")
     word = tuple(range(1, n + 1))
-    g = _prefix_sums(f) if sharp else f
-    parts = [perm_eval(g, w).scale(c) for w, c in lie_projector(word).items()]
-    parts.append(g.scale(-n))
+    words = lie_projector(word)
+    words[word] = words.get(word, 0) - n
     family = "lambda_sharp" if sharp else "lambda"
-    return EquationReport.from_residual(family, (n,), rf_sum_a(n, parts))
+    return EquationReport.from_residual(
+        family, (n,), condition_value(f, _words(words, n, sharp)))
 
 
 def check_dihedral(f):
@@ -203,16 +228,10 @@ def is_in_pdmr(series, max_depth):
 
 def is_in_pls(f):
     """Linearized double shuffle plus the consecutive-pole condition."""
-    reports = []
     n = f.arity
-    for p in range(1, n // 2 + 1):
-        q = n - p
-        reports.append(check_linearized(f, p, q, sharp=False))
-        reports.append(check_linearized(f, p, q, sharp=True))
-    if n == 1:
-        # depth-one evenness: only even functions of x1 are allowed
-        reports.append(EquationReport.from_residual("parity", (1,),
-                                                    odd_part(f)))
+    reports = [EquationReport.from_residual(family, indices,
+                                            condition_value(f, condition))
+               for family, indices, condition in linearized_equations(n)]
     bar = Polynomial.const(n, 1).mul_forms(
         form for form, k in c_n(n).den.items() for _ in range(k))
     cleared = f * RationalFunction.from_poly(bar)
@@ -221,13 +240,6 @@ def is_in_pls(f):
     reports.append(EquationReport("pole_shape", (n,), residual,
                                   cleared.is_polynomial()))
     return reports
-
-
-def odd_part(f):
-    """(f(x) - f(-x)) / 2, normalized."""
-    images = [var_vector(f.arity, i, negate=True)
-              for i in range(1, f.arity + 1)]
-    return (f - f.substitute_affine(images, f.arity)).scale(QQ(1, 2))
 
 
 def all_pass(reports):

@@ -496,20 +496,24 @@ def generator(name, max_depth):
         return chi(int(name[3:]), max_depth)
     if name.startswith("mono:"):
         n = int(name.split(":")[1])
-        return DepthSeries.single(RationalFunction.power_of_var(1, 1, n),
-                                  max_depth, weight=n + 1)
-    if name.startswith("sd:"):
+        f, weight = RationalFunction.power_of_var(1, 1, n), n + 1
+    elif name.startswith("sd:"):
         d = int(name.split(":")[1])
         if d < 1:
             raise ValueError("sd:D needs D >= 1, got %d" % d)
-        return DepthSeries.single(s_d(d), max_depth, weight=0)
-    if name == "z3":
-        return DepthSeries.single(z3(), max_depth, weight=3)
-    if name == "Q4":
-        return DepthSeries.single(Q4(), max_depth, weight=0)
-    if name.startswith("cn:"):
+        f, weight = s_d(d), 0
+    elif name == "z3":
+        f, weight = z3(), 3
+    elif name == "Q4":
+        f, weight = Q4(), 0
+    elif name.startswith("cn:"):
         n = int(name.split(":")[1])
         if n < 1:
             raise ValueError("cn:N needs N >= 1, got %d" % n)
-        return DepthSeries.single(c_n(n), max_depth, weight=-1)
-    raise ValueError("unknown generator %r" % name)
+        f, weight = c_n(n), -1
+    else:
+        raise ValueError("unknown generator %r" % name)
+    # a single component still has stuffle checks through max_depth
+    _bound_depth(name, "max_depth", max_depth,
+                 "its stuffle checks grow exponentially")
+    return DepthSeries.single(f, max_depth, weight=weight)

@@ -9,11 +9,11 @@ against.
 The solvers take an ansatz of monomials x^e over a fixed denominator D
 and linear conditions given as data: a condition is a sum of
 substitution terms (weight, pre, targets), each sending f to weight times
-f o pre relabelled x_j -> x_targets[j-1].  The (p,q) linearized shuffle
-and stuffle terms take pre = P (prefix sums) or the identity and the
-shuffle words as targets; the period relations take the PSL2(Z) images
-and the swap.  ratfun.condition_rows turns the conditions into integer
-rows with the kernel of the conditions' values.
+f o pre relabelled x_j -> x_targets[j-1].  The linearized double shuffle
+conditions are the ones dsh_check defines and evaluates
+(dsh_check.linearized_equations); the period relations, defined here,
+take the PSL2(Z) images and the swap.  ratfun.condition_rows turns the
+conditions into integer rows with the kernel of the conditions' values.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from .ratfun import (Polynomial, RationalFunction, coefficient_rows,
                      condition_rows, diff_vector, linear_form, monomials,
                      var_vector)
 from . import linalg
-from .dsh_check import prefix_images
+from .dsh_check import linearized_equations
 from .gens import c_n
 from .series import cyclic_sum
-from .words import shuffle
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +196,6 @@ def exceptional_e(f):
 # linearized double shuffle nullspaces
 
 
-def _linearized(p, q, sharp):
-    """The (p,q) linearized equation: f at x_(w1), .., x_(wn), or at the
-    prefix sums along w when sharp, summed over the shuffles w of (1..p)
-    and (p+1..p+q) (dsh_check.check_linearized)."""
-    n = p + q
-    pre = (prefix_images(n) if sharp
-           else tuple(var_vector(n, i) for i in range(1, n + 1)))
-    return [(c, pre, w) for w, c in
-            shuffle(range(1, p + 1), range(p + 1, n + 1)).items()]
-
-
 # largest monomial ansatz lin_ds_nullspace accepts
 _ANSATZ_CAP = 20000
 
@@ -229,15 +217,8 @@ def lin_ds_nullspace(depth, weight, allow_poles=False):
     if len(exps) > _ANSATZ_CAP:
         raise ValueError("ansatz of %d monomials exceeds the cap"
                          % len(exps))
-    conditions = [_linearized(p, depth - p, sharp)
-                  for p in range(1, depth // 2 + 1) for sharp in (False, True)]
-    if depth == 1:
-        # evenness constraint from the depth-two stuffle family: the odd
-        # part (f(x) - f(-x)) / 2
-        conditions.append([(QQ(1, 2), (var_vector(1, 1),), (1,)),
-                           (QQ(-1, 2), (var_vector(1, 1, negate=True),),
-                            (1,))])
-    return _kernel(depth, exps, conditions, den)
+    return _kernel(depth, exps, [condition for _, _, condition
+                                 in linearized_equations(depth)], den)
 
 
 def ls_dimension(depth, weight, allow_poles=False):

@@ -188,6 +188,16 @@ class TestBracketRes:
         assert_usage_error(code, out, err)
         assert str(path) in err
 
+    @pytest.mark.parametrize("content", [b"", b"not json", b'{"max_depth": 1',
+                                         b"\xff"])
+    def test_res_bad_json_names_the_file(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = invoke(capsys, "res", "--element", str(path),
+                                "--depth", "1")
+        assert_usage_error(code, out, err)
+        assert "%s is not a DepthSeries JSON file" % path in err
+
     @pytest.mark.parametrize("data, depth, key", [
         ({"max_depth": 1, "components": {"1": {
             "arity": 2 ** 70, "num": [], "den": [[1, 0]]}}}, 1, "arity"),
@@ -441,6 +451,22 @@ class TestContract:
             assert time.perf_counter() - start < 1
             assert_usage_error(code, out, err)
             assert "needs max_depth <= 7, got 8" in err
+
+    def test_single_component_generators_above_the_bound(self, capsys):
+        # one component, but verify runs the stuffle checks of every depth
+        # up to max_depth (z3 took 6 s at depth 12); refused past the s_d
+        # bound before any check runs
+        for name in ("z3", "Q4", "sd:2", "cn:3", "mono:2"):
+            for argv in (("verify", "--gen", name, "--max-depth", "9"),
+                         ("verify", "--gen", name, "--max-depth",
+                          str(10 ** 9)),
+                         ("bracket", "--f", name, "--g", "psi3",
+                          "--max-depth", "9")):
+                start = time.perf_counter()
+                code, out, err = invoke(capsys, *argv)
+                assert time.perf_counter() - start < 1
+                assert_usage_error(code, out, err)
+                assert "%s needs max_depth <= 8" % name in err
 
     def test_cn_generator_without_components(self, capsys):
         for name in ("cn:0", "cn:-2"):

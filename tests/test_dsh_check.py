@@ -1,15 +1,20 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from dshuffle import linalg
 from dshuffle.rationals import QQ
-from dshuffle.ratfun import RationalFunction
+from dshuffle.ratfun import (PoleOrderError, Polynomial, RationalFunction,
+                             condition_rows, monomials)
 from dshuffle.series import (DepthSeries, is_translation_invariant,
                              series_ihara_bracket, unreduce)
 from dshuffle.dsh_check import (all_pass, check_dihedral, check_lambda_form,
                                 check_linearized, check_shuffle,
-                                check_six_term, check_stuffle, is_in_pdmr,
-                                is_in_pls, sharp_eval, summary_line)
+                                check_six_term, check_stuffle,
+                                condition_value, is_in_pdmr, is_in_pls,
+                                linearized_equations, sharp_eval,
+                                summary_line)
 from dshuffle.gens import (c_n, psi_minus_one, psi_odd, psi_odd_component,
                            psi_zero, z3, Q4)
 from dshuffle.words import lie_projector
@@ -113,6 +118,100 @@ class TestSharpOracle:
         assert not agrees_pointwise(
             sharp_eval(f, (2, 1, 3)),
             lambda x: f.evaluate(_prefix_point(x, (1, 2, 3))), rng, 3)
+
+
+def _term_at(f, term, x):
+    """weight * f(pre(y)) with y_j = x_(targets[j-1]) (x_0 = 0), by hand."""
+    weight, pre, targets = term
+    y = [x[t - 1] if t else 0 for t in targets]
+    return weight * f.evaluate(tuple(
+        img[0] + sum(c * yj for c, yj in zip(img[1:], y)) for img in pre))
+
+
+class TestConditionValue:
+    """condition_value against evaluation of f term by term."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_the_terms_at_points(self, data):
+        n = data.draw(st.integers(1, 3))
+        rng = make_rng(data.draw(st.integers(0, 10 ** 6)))
+        f = random_rf(rng, n, 2, data.draw(st.integers(0, 2)))
+        term = st.tuples(
+            st.builds(QQ, st.integers(-4, 4), st.integers(1, 5)),
+            st.tuples(*[st.tuples(st.integers(-1, 1),
+                                  *[st.integers(-3, 3)] * n)] * n),
+            st.tuples(*[st.integers(0, n)] * n))
+        condition = data.draw(st.lists(term, min_size=1, max_size=4))
+        try:
+            value = condition_value(f, condition)
+        except PoleOrderError:
+            # some pre or target sends a pole of f to zero
+            assume(False)
+        assert agrees_pointwise(
+            value, lambda x: sum(_term_at(f, t, x) for t in condition),
+            make_rng(n), n)
+
+    def test_every_kind_of_term(self):
+        # a rational weight, non-unit and affine pre images, a target 0 and
+        # a repeated target, with the same pre in two terms
+        f = parse("x1^2x2^1/(x2*(x3-x1))", 3)
+        pre = ((0, 2, 0, 0), (1, 0, 3, 0), (0, 1, 0, -2))
+        condition = [(QQ(2, 3), pre, (2, 2, 0)), (QQ(-5, 2), pre, (3, 1, 2)),
+                     (1, ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+                      (3, 2, 1))]
+        value = condition_value(f, condition)
+        assert not value.is_zero()
+        assert agrees_pointwise(
+            value, lambda x: sum(_term_at(f, t, x) for t in condition),
+            make_rng(600), 3)
+
+    def test_shuffle_needs_p_plus_q_variables(self):
+        f = psi_odd_component(1, 3)
+        for p, q in ((1, 1), (2, 2), (1, 3)):
+            with pytest.raises(ValueError):
+                check_shuffle(f, p, q)
+
+
+class TestCheckerAgainstSolver:
+    """Each family's report from is_in_pls passes exactly when the
+    coefficients are orthogonal to the rows that the solver builds from
+    that one condition, on random combinations of the solver's ansatz,
+    solutions of each family and non-solutions alike."""
+
+    @pytest.mark.parametrize("depth, weight, poles", [
+        (1, 5, False), (1, 6, False), (2, 10, False), (3, 9, False),
+        (3, 7, True)])
+    def test_report_passes_on_the_kernel_of_the_rows(self, depth, weight,
+                                                     poles, rng):
+        den = c_n(depth).den if poles else {}
+        exps = monomials(depth, weight + 1 if poles else weight - depth)
+        equations = linearized_equations(depth)
+        rows = [condition_rows(depth, exps, [condition], den)
+                for _, _, condition in equations]
+        vectors = [[QQ(rng.randint(-3, 3)) for _ in exps]]
+        for family_rows in rows:
+            kernel = linalg.nullspace(family_rows, len(exps))
+            coeffs = [rng.randint(-3, 3) for _ in kernel]
+            vectors.append([sum(c * v[i] for c, v in zip(coeffs, kernel))
+                            for i in range(len(exps))])
+        verdicts = set()
+        for vec in vectors:
+            f = RationalFunction.from_num_den(
+                Polynomial(depth, {e: c for e, c in zip(exps, vec) if c}),
+                den)
+            reports = is_in_pls(f)
+            for (family, indices, _), family_rows, report in zip(
+                    equations, rows, reports):
+                assert (report.family, report.indices) == (family, indices)
+                orthogonal = all(sum(r * c for r, c in zip(row, vec)) == 0
+                                 for row in family_rows)
+                assert report.passed == orthogonal, (family, indices, vec)
+                verdicts.add(orthogonal)
+        if (depth, weight) != (1, 5):
+            # x1^4 is even, so only in depth one and weight 5 does every
+            # combination pass
+            assert verdicts == {True, False}
 
 
 class TestOneSubstitutionPerCheck:
